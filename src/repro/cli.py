@@ -16,7 +16,7 @@ Examples::
     python -m repro runs list && python -m repro runs verify runs/full
 
 Every exploration-running command accepts the engine flags: ``--jobs N``
-(worker processes), ``--cache-dir DIR`` (persistent result cache +
+(worker processes for per-workload searches), ``--cache-dir DIR`` (persistent result cache +
 checkpoint), ``--no-cache`` (simulate everything), ``--resume`` (continue
 an interrupted exploration from the checkpoint in ``--cache-dir``),
 ``--stats`` (print evaluation counts, cache hit rate, per-phase wall
@@ -119,8 +119,9 @@ def _engine_options() -> argparse.ArgumentParser:
     group = p.add_argument_group("evaluation engine")
     group.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for parallel evaluation, clamped to "
-             "available cores (default: 1, serial)",
+        help="worker processes for per-workload searches, restarts and "
+             "sweep points, clamped to available cores; evaluation "
+             "batches always run in-process (default: 1, serial)",
     )
     group.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -163,13 +164,14 @@ def _engine_options() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="retries per failing evaluation before giving up "
-             "(default: 3)",
+        help="retries per failing evaluation or pooled task before "
+             "giving up (default: 3)",
     )
     group.add_argument(
         "--task-timeout", type=float, default=None, metavar="S",
-        help="per-task deadline in seconds under --jobs > 1; a task "
-             "overrunning it is retried on a fresh pool (default: none)",
+        help="per-task deadline in seconds for pooled searches under "
+             "--jobs > 1; a task overrunning it is retried on a fresh "
+             "pool (default: none)",
     )
     group.add_argument(
         "--inject-faults", default=os.environ.get("REPRO_INJECT_FAULTS"),
@@ -652,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true",
                     help="emit the summary as JSON instead of text")
     sp = trace_sub.add_parser(
-        "slowest", help="the top-N slowest worker tasks/evaluations"
+        "slowest", help="the top-N slowest pooled map tasks"
     )
     _journal_args(sp)
     sp.add_argument("--top", type=int, default=10, metavar="N",

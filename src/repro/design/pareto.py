@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ..engine import EvaluationEngine
-from ..errors import TimingError
+from ..errors import ConfigurationError, TimingError
 from ..explore.moves import MoveGenerator
 from ..tech import CactiModel, TechnologyNode, default_technology
 from ..uarch.config import (
@@ -187,7 +187,7 @@ def sample_design_space(
         attempts += 1
         try:
             current = moves.propose(current, rng)
-        except TimingError:
+        except (TimingError, ConfigurationError):
             continue
         if current not in seen:
             seen.add(current)
@@ -203,8 +203,8 @@ class ParetoExplorer:
     """Sweep workloads' design spaces into non-dominated fronts.
 
     All simulation goes through one :class:`EvaluationEngine` batch per
-    workload — deduplicated, cached, vectorized through the batch
-    interval model, and parallelized when the engine has workers.
+    workload — deduplicated, cached and vectorized through the batch
+    interval model, in-process.
     """
 
     def __init__(

@@ -6,8 +6,8 @@ for: all code that needs simulation results routes through one
 
 * content-addressed result caching (:mod:`repro.engine.keys`,
   :mod:`repro.engine.cache`) — in memory, optionally persisted to SQLite;
-* deduplicated, optionally process-parallel batch evaluation
-  (:mod:`repro.engine.pool`);
+* deduplicated, vectorized in-process batch evaluation, and
+  process-parallel ``map`` over whole searches (:mod:`repro.engine.pool`);
 * checkpoint/resume of long explorations
   (:mod:`repro.engine.checkpoint`);
 * progress/metrics hooks (:mod:`repro.engine.events`);

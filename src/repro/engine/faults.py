@@ -6,8 +6,10 @@ makes every failure mode the engine defends against *injectable on
 demand and exactly reproducible*:
 
 * a :class:`FaultPlan` decides, as a pure function of ``(seed, key,
-  attempt)``, whether one evaluation attempt crashes, hangs, or returns
-  a corrupted result.  The same plan replays the same faults in every
+  attempt)``, whether one attempt crashes, hangs, or returns a
+  corrupted result.  Keys are evaluation keys for in-process
+  evaluations and ``map:<index>`` for pooled map tasks (where a
+  ``wrong_result`` draw does nothing).  The same plan replays the same faults in every
   process, on every run — a failing fault-matrix test can be re-run
   bit-for-bit;
 * :func:`enact` performs the decided fault: raising
@@ -22,7 +24,7 @@ Plans are wired in through ``EvaluationEngine(faults=...)``, the CLI's
 variable (see :meth:`FaultPlan.parse` for the spec format).
 
 Faults are *bounded*: after ``max_faults_per_key`` injections on one
-evaluation key the plan stops faulting that key, so a run with retries
+key the plan stops faulting that key, so a run with retries
 enabled always completes — and, because retries re-run the genuine
 deterministic simulator, completes with results bit-identical to a
 fault-free run.

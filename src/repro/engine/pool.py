@@ -1,4 +1,4 @@
-"""The evaluation engine: cache-aware, optionally parallel batch evaluation.
+"""The evaluation engine: cache-aware batch evaluation, parallel ``map``.
 
 :class:`EvaluationEngine` is the single funnel through which exploration
 and characterization code runs simulations.  It layers, in order:
@@ -10,26 +10,27 @@ and characterization code runs simulations.  It layers, in order:
    distinct (workload, configuration) pair at most once per batch, no
    matter how often the batch repeats it (the Table-5 matrix fill
    overlaps heavily with cross-seeding);
-3. **process-pool parallelism** — misses are simulated across
-   ``jobs`` worker processes (each worker re-instantiates the simulator
-   once, during pool initialization), falling back to serial execution
-   whenever the work is not picklable or a pool cannot be created;
-4. **resilience** — every accepted result passes integrity validation,
-   failed or timed-out tasks are retried under the engine's
-   :class:`~repro.engine.resilience.RetryPolicy` (bounded exponential
-   backoff, deterministic jitter), a dead pool is rebuilt up to the
-   policy's restart budget, and beyond that the engine degrades
-   gracefully to serial execution instead of aborting the run.
+3. **in-process batch simulation** — misses go through the simulator's
+   vectorized batch path, and every accepted result passes integrity
+   validation; injected faults and integrity violations are retried
+   under the engine's :class:`~repro.engine.resilience.RetryPolicy`
+   (bounded exponential backoff, deterministic jitter);
+4. **process parallelism at map granularity** — :meth:`map` runs
+   coarse tasks (one search per workload, one restart, one sweep point)
+   across ``jobs`` worker processes, with per-task timeouts, retries,
+   pool restarts up to the policy's budget, and a permanent fallback to
+   serial execution beyond it.
+
+Single evaluations never go to the pool: a batched interval-model
+evaluation costs about as much as pickling its result back from a
+worker, so per-pair dispatch loses at every worker count
+(``docs/engine.md``).
 
 Results are deterministic by construction: caching returns the exact
-stored result, batches preserve request order, and the per-item work is
-itself deterministic — so ``jobs=1`` and ``jobs=N`` produce bit-identical
-outputs, *including* under retries, pool restarts and injected faults
-(a retried evaluation re-runs the same deterministic simulator).
-
-The engine also offers a generic :meth:`map` for coarse-grained task
-parallelism (one annealing run per workload, one pinned-clock anneal per
-sweep point) with the same retry/fallback guarantees.
+stored result, batches and maps preserve request order, and the work
+itself is deterministic — so ``jobs=1`` and ``jobs=N`` produce
+bit-identical outputs, *including* under retries, pool restarts and
+injected faults (a retried task re-runs the same deterministic code).
 
 Fault injection (:class:`~repro.engine.faults.FaultPlan`, the
 ``faults=`` parameter) exists to *test* all of the above: see
@@ -47,13 +48,12 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..errors import EngineError
-from ..sim.interval import IntervalSimulator
 from ..sim.interval_batch import BatchIntervalModel
 from ..sim.metrics import SimResult
 from ..workloads.profile import WorkloadProfile
 from .cache import ResultCache
 from .events import EngineMetrics, EventBus
-from .faults import WRONG_RESULT, FaultPlan, InjectedCrash, InjectedFault, corrupt_result, enact
+from .faults import WRONG_RESULT, FaultPlan, InjectedFault, corrupt_result, enact
 from .keys import digest, evaluation_key, simulator_id
 from .resilience import (
     ResultIntegrityError,
@@ -83,19 +83,6 @@ def _is_broken_pool(exc: BaseException) -> bool:
     return type(exc).__name__ == "BrokenProcessPool"
 
 
-# ----------------------------------------------------------------------
-# worker-process plumbing (module level: must be picklable by name)
-# ----------------------------------------------------------------------
-
-_WORKER_SIMULATOR: Any = None
-
-
-def _init_worker(simulator: Any) -> None:
-    """Pool initializer: install this process's own simulator instance."""
-    global _WORKER_SIMULATOR
-    _WORKER_SIMULATOR = simulator
-
-
 def _simulate_pairs(sim: Any, pairs: Sequence[Pair]) -> list[SimResult]:
     """Simulate pairs through the simulator's batch path when it has one.
 
@@ -122,89 +109,47 @@ def _simulate_pairs(sim: Any, pairs: Sequence[Pair]) -> list[SimResult]:
     return results  # type: ignore[return-value]
 
 
-def _evaluate_chunk(pairs: Sequence[Pair]) -> list[SimResult]:
-    """Simulate a chunk of (profile, config) pairs in a worker process."""
-    sim = _WORKER_SIMULATOR
-    if sim is None:  # serial in-process use
-        sim = BatchIntervalModel()
-    return _simulate_pairs(sim, pairs)
+# ----------------------------------------------------------------------
+# worker-process plumbing (module level: must be picklable by name)
+# ----------------------------------------------------------------------
 
 
-def _evaluate_task(
-    task: tuple[WorkloadProfile, Any, str, int, FaultPlan | None],
-) -> SimResult:
-    """Simulate one pair in a worker, enacting any fault planned for it.
+def _map_key(index: int) -> str:
+    """The retry/backoff/fault key of map task ``index``."""
+    return f"map:{index}"
 
-    One task per future (rather than a chunk) so the parent can time
-    out, retry and re-attribute failures per evaluation.
+
+def _map_call(
+    payload: tuple[Callable, Any, str, int, FaultPlan | None, float],
+) -> tuple[Any, dict]:
+    """Run one :meth:`EvaluationEngine.map` task in a pool worker.
+
+    The engine's fault plan (if any) is enacted first, for this task's
+    key and attempt: a hard crash really kills the worker and a hang
+    really overruns the parent's deadline.  A drawn ``wrong_result`` is
+    an evaluation-level fault and does nothing here.
+
+    Workers cannot reach the parent's bus, so the task returns
+    ``(value, record)`` and the parent emits the ``task_span`` event —
+    with span ids allocated parent-side in harvest order, so trace
+    topology stays deterministic.  ``queue_wait_s`` compares two wall
+    clocks on the same machine (submit in parent, start in worker),
+    which is exactly the pool's dispatch latency.  A failing attempt
+    raises before any record exists; the parent's ``retry`` event
+    covers it.
     """
-    profile, config, key, attempt, plan = task
-    in_worker = _WORKER_SIMULATOR is not None
-    sim = _WORKER_SIMULATOR if in_worker else IntervalSimulator()
-    kind = None
+    fn, item, key, attempt, plan, submit_ts = payload
+    start_ts = time.time()
+    t0 = time.perf_counter()
     if plan is not None:
-        kind = enact(plan, key, attempt, allow_exit=in_worker)
-    result = sim.evaluate(profile, config)
-    if kind == WRONG_RESULT:
-        result = corrupt_result(result)
-    return result
-
-
-def _worker_record(submit_ts: float, start_ts: float, seconds: float) -> dict:
-    """The timing facts a traced worker task ships back to the parent.
-
-    Workers cannot reach the parent's bus, so traced task variants
-    return ``(value, record)`` and the parent emits the ``task_span``
-    event — with span ids allocated parent-side in harvest order, so
-    trace topology stays deterministic.  ``queue_wait_s`` compares two
-    wall clocks on the same machine (submit in parent, start in
-    worker), which is exactly the pool's dispatch latency.
-    """
-    return {
+        enact(plan, key, attempt, allow_exit=True)
+    value = fn(item)
+    return value, {
         "worker_pid": os.getpid(),
         "start_ts": start_ts,
-        "seconds": seconds,
+        "seconds": time.perf_counter() - t0,
         "queue_wait_s": max(start_ts - submit_ts, 0.0),
     }
-
-
-def _evaluate_chunk_traced(
-    payload: tuple[Sequence[Pair], float],
-) -> tuple[list[SimResult], dict]:
-    """Traced variant of :func:`_evaluate_chunk`: results + timing record."""
-    pairs, submit_ts = payload
-    start_ts = time.time()
-    t0 = time.perf_counter()
-    results = _evaluate_chunk(pairs)
-    return results, _worker_record(submit_ts, start_ts, time.perf_counter() - t0)
-
-
-def _evaluate_task_traced(
-    payload: tuple[tuple[WorkloadProfile, Any, str, int, FaultPlan | None], float],
-) -> tuple[SimResult, dict]:
-    """Traced variant of :func:`_evaluate_task`: result + timing record.
-
-    A failing attempt raises before any record exists — the parent's
-    ``retry`` event already covers failed attempts.
-    """
-    task, submit_ts = payload
-    start_ts = time.time()
-    t0 = time.perf_counter()
-    result = _evaluate_task(task)
-    return result, _worker_record(submit_ts, start_ts, time.perf_counter() - t0)
-
-
-def _map_call_traced(payload: tuple[Callable, Any, float]) -> tuple[Any, dict]:
-    """Traced variant of one :meth:`EvaluationEngine.map` call."""
-    fn, item, submit_ts = payload
-    start_ts = time.time()
-    t0 = time.perf_counter()
-    value = fn(item)
-    return value, _worker_record(submit_ts, start_ts, time.perf_counter() - t0)
-
-
-def _chunked(items: Sequence[T], size: int) -> list[Sequence[T]]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 class EvaluationEngine:
@@ -213,19 +158,16 @@ class EvaluationEngine:
     Parameters
     ----------
     simulator:
-        Evaluator with ``evaluate(profile, config) -> SimResult``;
-        defaults to the interval model.  It is shipped (pickled) to each
-        worker process once at pool start-up, so each worker runs its own
-        instance.
+        Evaluator with ``evaluate(profile, config) -> SimResult`` (and
+        optionally ``evaluate_batch``); defaults to the vectorized
+        interval model.  Evaluations always run in-process.
     jobs:
-        Worker processes for batch/task parallelism; ``1`` (the default)
-        stays fully serial and in-process.
-    clamp_jobs:
-        Bound the effective worker count by :func:`available_cpus`
-        (default True): oversubscribing a 1-core container with
-        ``jobs=4`` would only add dispatch overhead, never speed.  The
-        requested ``jobs`` is kept as intent; ``workers`` is what runs.
-        Pass False to force the pool regardless (tests do).
+        Worker processes for :meth:`map` — whole per-workload searches,
+        restarts and sweep points — bounded by :func:`available_cpus`
+        (oversubscribing a small container would only add dispatch
+        overhead).  The requested ``jobs`` is kept as intent;
+        ``workers`` is what runs.  ``1`` (the default) stays fully
+        serial.
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching entirely;
         by default an in-memory cache is created.
@@ -241,8 +183,9 @@ class EvaluationEngine:
         to ``RetryPolicy()`` (retries on, no timeout).
     faults:
         Optional :class:`~repro.engine.faults.FaultPlan` injecting
-        deterministic failures into evaluations (testing/chaos runs
-        only; results remain bit-identical to a fault-free run).
+        deterministic failures into in-process evaluations and pooled
+        :meth:`map` tasks (testing/chaos runs only; results remain
+        bit-identical to a fault-free run).
     """
 
     def __init__(
@@ -252,7 +195,6 @@ class EvaluationEngine:
         cache: ResultCache | None | object = _DEFAULT_CACHE,
         events: EventBus | None = None,
         context: Any = None,
-        clamp_jobs: bool = True,
         policy: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
@@ -264,7 +206,7 @@ class EvaluationEngine:
         # IntervalSimulator results.
         self.simulator = simulator if simulator is not None else BatchIntervalModel()
         self.jobs = jobs
-        self.workers = min(jobs, available_cpus()) if clamp_jobs else jobs
+        self.workers = min(jobs, available_cpus())
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults if faults is not None and faults.active else None
         self.cache: ResultCache | None
@@ -346,18 +288,16 @@ class EvaluationEngine:
         """Evaluate a batch, dedup'd against the cache and within itself.
 
         Returns one result per input pair, in input order.  Each distinct
-        (workload, configuration) content is simulated at most once; with
-        ``jobs > 1`` the distinct misses are simulated across the worker
-        pool in deterministic order.
+        (workload, configuration) content is simulated at most once, in
+        this process, through the simulator's batch path.
         """
         pairs = list(pairs)
         if not pairs:
             return []
-        with self._interrupt_guard():
-            if self.events.tracing:
-                with self.events.span("batch", kind="batch", size=len(pairs)):
-                    return self._evaluate_many(pairs)
-            return self._evaluate_many(pairs)
+        if self.events.tracing:
+            with self.events.span("batch", kind="batch", size=len(pairs)):
+                return self._evaluate_many(pairs)
+        return self._evaluate_many(pairs)
 
     def _evaluate_many(self, pairs: Sequence[Pair]) -> list[SimResult]:
         if self.cache is None:
@@ -399,10 +339,10 @@ class EvaluationEngine:
         ``fn`` must be a module-level (picklable) callable for parallel
         execution; anything unpicklable degrades to an in-process loop
         (announced via a ``fallback`` event), never to an error.  Under
-        the pool, a broken worker or a task overrunning the policy's
-        ``timeout_s`` triggers retries and pool restarts exactly like
-        :meth:`evaluate_many`; exceptions raised by ``fn`` itself
-        propagate to the caller.
+        the pool, a task that fails (an injected fault), breaks its
+        worker or overruns the policy's ``timeout_s`` is retried with
+        backoff, on a rebuilt pool when the old one died; exceptions
+        raised by ``fn`` itself propagate to the caller.
         """
         items = list(items)
         if self.workers == 1 or len(items) < 2 or not self._picklable(fn, items):
@@ -415,7 +355,6 @@ class EvaluationEngine:
         results: dict[int, U] = {}
         attempts = [0] * n
         pending = list(range(n))
-        traced = self.events.tracing
         while pending:
             executor = self._ensure_executor()
             if executor is None:
@@ -426,34 +365,37 @@ class EvaluationEngine:
             futures = self._submit_all(
                 executor,
                 [
-                    (i, _map_call_traced, ((fn, items[i], submit_ts),))
-                    if traced
-                    else (i, fn, (items[i],))
+                    (i, (fn, items[i], _map_key(i), attempts[i], self.faults, submit_ts))
                     for i in pending
                 ],
             )
             if futures is None:
                 continue
 
-            def accept_map(i: int, outcome: Any) -> None:
-                if traced:
-                    value, record = outcome
-                    self._emit_task_span("map", record, key=f"map:{i}")
-                else:
-                    value = outcome
+            def accept(i: int, outcome: tuple[U, dict]) -> None:
+                value, record = outcome
+                if self.events.tracing:
+                    # Harvested in submission order, so span ids and
+                    # parentage match across runs; only timings vary.
+                    self.events.emit(
+                        "task_span",
+                        name="map",
+                        span=self.events.next_span_id(),
+                        parent=self.events.current_span,
+                        trace=self.events.trace_id,
+                        key=_map_key(i),
+                        attempt=attempts[i],
+                        **record,
+                    )
                 results[i] = value
 
-            failed, pool_death = self._collect(
-                futures,
-                accept_map,
-                key_of=lambda i: f"map:{i}",
-            )
+            failed, pool_death = self._collect(futures, accept)
             if failed is None:  # unpicklable mid-flight: finish serially
                 for i in pending:
                     if i not in results:
                         results[i] = fn(items[i])
                 break
-            pending = self._account_failures(failed, attempts, lambda i: f"map:{i}")
+            pending = self._account_failures(failed, attempts)
             if pool_death is not None:
                 self._note_pool_death(pool_death)
         return [results[i] for i in range(n)]
@@ -462,33 +404,16 @@ class EvaluationEngine:
     # internals
     # ------------------------------------------------------------------
 
-    def _emit_task_span(self, name: str, record: dict, **extra: Any) -> None:
-        """Stitch one worker-measured task into the parent's trace.
-
-        Called at harvest time, in deterministic (submission) order, so
-        span ids and parentage match across runs; only the timing fields
-        inside ``record`` vary.
-        """
-        self.events.emit(
-            "task_span",
-            name=name,
-            span=self.events.next_span_id(),
-            parent=self.events.current_span,
-            trace=self.events.trace_id,
-            **record,
-            **extra,
-        )
-
     @contextmanager
     def _interrupt_guard(self) -> Iterator[None]:
         """Never leak worker processes to an interrupt.
 
         A ``KeyboardInterrupt``/``SIGTERM`` (or any other non-``Exception``
         escape: ``SystemExit``, a run-orchestration interrupt) landing
-        mid-batch used to unwind past ``close()``, leaving worker
+        mid-map would otherwise unwind past ``close()``, leaving worker
         children alive and buffered cache writes unflushed.  Ordinary
         :class:`Exception` propagation is untouched — the engine stays
-        usable after an evaluation error.
+        usable after a task error.
         """
         try:
             yield
@@ -498,11 +423,7 @@ class EvaluationEngine:
             raise
 
     def _evaluate_serial(
-        self,
-        profile: WorkloadProfile,
-        config: Any,
-        key: str,
-        start_attempt: int = 0,
+        self, profile: WorkloadProfile, config: Any, key: str
     ) -> SimResult:
         """One in-process evaluation under the retry policy.
 
@@ -511,7 +432,7 @@ class EvaluationEngine:
         else — a genuine simulator error — propagates immediately, since
         a deterministic simulator will not heal on retry.
         """
-        attempt = start_attempt
+        attempt = 0
         while True:
             try:
                 kind = None
@@ -544,163 +465,33 @@ class EvaluationEngine:
             time.sleep(delay)
         return next_attempt
 
-    def _keys_if_needed(self, pairs: Sequence[Pair], keys: Sequence[str] | None) -> list[str]:
-        """Evaluation keys for backoff/fault addressing (cheap when unused)."""
-        if keys is not None:
-            return list(keys)
-        if self.faults is not None:
-            return [self.key_for(p, c) for p, c in pairs]
-        return [""] * len(pairs)
-
     def _simulate(
         self, pairs: Sequence[Pair], keys: Sequence[str] | None = None
     ) -> list[SimResult]:
-        """Simulate pairs (order-preserving), parallel when worthwhile."""
-        if self.workers == 1 or len(pairs) < 2 or not self._picklable(_evaluate_chunk, pairs):
-            if self.faults is None and len(pairs) > 1:
-                # Serial batch fast path: one vectorized call per profile
-                # group, with the same validate-and-raise semantics as
-                # the chunked pool path.
-                results = _simulate_pairs(self.simulator, pairs)
-                for (profile, _), result in zip(pairs, results):
-                    validate_result(profile, result)
-                return results
-            all_keys = self._keys_if_needed(pairs, keys)
-            return [
-                self._evaluate_serial(p, c, k)
-                for (p, c), k in zip(pairs, all_keys)
-            ]
-        if self.faults is not None or self.policy.timeout_s is not None:
-            return self._simulate_resilient(pairs, self._keys_if_needed(pairs, keys))
-        return self._simulate_chunked(pairs, keys)
+        """Simulate pairs in-process, order-preserving.
 
-    def _simulate_chunked(
-        self, pairs: Sequence[Pair], keys: Sequence[str] | None
-    ) -> list[SimResult]:
-        """The fast path: chunked pool dispatch, pool restarts on death.
-
-        Without per-task timeouts or fault injection there is nothing to
-        retry per evaluation, so work ships in chunks (~4 per worker —
-        scheduling slack vs IPC cost).  A broken pool is rebuilt up to
-        ``policy.pool_restarts`` times and the whole batch re-dispatched
-        (the simulator is deterministic, so recomputation is safe);
-        beyond the budget the engine degrades to serial.
+        Without a fault plan, more than one pair takes the batch fast
+        path (one vectorized call per profile group) and is validated
+        afterwards; a plan needs per-evaluation keys and retries, so it
+        takes the scalar retry loop.
         """
-        chunk = max(1, -(-len(pairs) // (self.workers * 4)))
-        traced = self.events.tracing
-        while True:
-            executor = self._ensure_executor()
-            if executor is None:
-                break
-            try:
-                if traced:
-                    submit_ts = time.time()
-                    work = [(c, submit_ts) for c in _chunked(pairs, chunk)]
-                    outcomes = list(executor.map(_evaluate_chunk_traced, work))
-                    chunks = []
-                    for (batch_results, record), (batch_pairs, _) in zip(outcomes, work):
-                        self._emit_task_span(
-                            "chunk", record, items=len(batch_pairs)
-                        )
-                        chunks.append(batch_results)
-                else:
-                    chunks = list(executor.map(_evaluate_chunk, _chunked(pairs, chunk)))
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                self._fall_back(f"parallel execution failed ({exc}); retrying serially")
-                break
-            except Exception as exc:
-                if not _is_broken_pool(exc):
-                    self._shutdown_executor(cancel=True)
-                    raise
-                self._note_pool_death(f"worker pool broke ({exc})")
-                continue
-            flat = [result for batch in chunks for result in batch]
-            for (profile, _), result in zip(pairs, flat):
+        if self.faults is None and len(pairs) > 1:
+            results = _simulate_pairs(self.simulator, pairs)
+            for (profile, _), result in zip(pairs, results):
                 validate_result(profile, result)
-            return flat
-        all_keys = self._keys_if_needed(pairs, keys)
-        return [
-            self._evaluate_serial(p, c, k) for (p, c), k in zip(pairs, all_keys)
-        ]
-
-    def _simulate_resilient(
-        self, pairs: Sequence[Pair], keys: Sequence[str]
-    ) -> list[SimResult]:
-        """Per-task pool dispatch with timeouts, retries and restarts.
-
-        Each pending evaluation is its own future, harvested in
-        submission order with the policy's per-task deadline.  Failed
-        tasks are retried with backoff (fresh attempt numbers, so an
-        armed fault plan draws fresh faults); a timeout or broken pool
-        condemns the pool, which is rebuilt — or, once the restart
-        budget is spent, abandoned for serial execution.  Output order
-        and values are identical to the serial path.
-        """
-        n = len(pairs)
-        results: dict[int, SimResult] = {}
-        attempts = [0] * n
-        pending = list(range(n))
-        traced = self.events.tracing
-        while pending:
-            executor = self._ensure_executor()
-            if executor is None:
-                for i in pending:
-                    profile, config = pairs[i]
-                    results[i] = self._evaluate_serial(
-                        profile, config, keys[i], start_attempt=attempts[i]
-                    )
-                break
-            submit_ts = time.time()
-            futures = self._submit_all(
-                executor,
-                [
-                    (
-                        i,
-                        _evaluate_task_traced if traced else _evaluate_task,
-                        (
-                            ((pairs[i][0], pairs[i][1], keys[i], attempts[i], self.faults),
-                             submit_ts)
-                            if traced
-                            else (pairs[i][0], pairs[i][1], keys[i], attempts[i],
-                                  self.faults),
-                        ),
-                    )
-                    for i in pending
-                ],
+            return results
+        if keys is None:
+            keys = (
+                [self.key_for(p, c) for p, c in pairs]
+                if self.faults is not None
+                else [""] * len(pairs)
             )
-            if futures is None:
-                continue
-
-            def accept(i: int, outcome: Any) -> None:
-                if traced:
-                    result, record = outcome
-                    self._emit_task_span(
-                        "task", record, key=keys[i], attempt=attempts[i]
-                    )
-                else:
-                    result = outcome
-                results[i] = validate_result(pairs[i][0], result)
-
-            failed, pool_death = self._collect(
-                futures, accept, key_of=lambda i: keys[i]
-            )
-            if failed is None:  # unpicklable mid-flight: finish serially
-                for i in pending:
-                    if i not in results:
-                        profile, config = pairs[i]
-                        results[i] = self._evaluate_serial(
-                            profile, config, keys[i], start_attempt=attempts[i]
-                        )
-                break
-            pending = self._account_failures(failed, attempts, lambda i: keys[i])
-            if pool_death is not None:
-                self._note_pool_death(pool_death)
-        return [results[i] for i in range(n)]
+        return [self._evaluate_serial(p, c, k) for (p, c), k in zip(pairs, keys)]
 
     def _submit_all(
-        self, executor: ProcessPoolExecutor, work: Sequence[tuple[int, Any, tuple]]
+        self, executor: ProcessPoolExecutor, work: Sequence[tuple[int, tuple]]
     ) -> list[tuple[int, Any]] | None:
-        """Submit every ``(index, fn, args)``; ``None`` if the pool died.
+        """Submit every ``(index, payload)`` map task; ``None`` if the pool died.
 
         A pool can break *between* rounds (a worker segfaults while
         idle), in which case ``submit`` itself raises — that counts as
@@ -708,8 +499,8 @@ class EvaluationEngine:
         """
         futures: list[tuple[int, Any]] = []
         try:
-            for i, fn, args in work:
-                futures.append((i, executor.submit(fn, *args)))
+            for i, payload in work:
+                futures.append((i, executor.submit(_map_call, payload)))
         except Exception as exc:
             if not _is_broken_pool(exc):
                 self._shutdown_executor(cancel=True)
@@ -722,7 +513,6 @@ class EvaluationEngine:
         self,
         futures: Sequence[tuple[int, Any]],
         accept: Callable[[int, Any], None],
-        key_of: Callable[[int], str],
     ) -> tuple[list[tuple[int, BaseException]] | None, str | None]:
         """Harvest futures in order; sort outcomes into accepted/failed.
 
@@ -742,11 +532,11 @@ class EvaluationEngine:
                 continue
             try:
                 accept(i, fut.result(timeout=self.policy.timeout_s))
-            except (InjectedFault, ResultIntegrityError) as exc:
+            except InjectedFault as exc:
                 failed.append((i, exc))
             except FuturesTimeout as exc:
                 self.events.emit(
-                    "task_timeout", key=key_of(i), timeout_s=self.policy.timeout_s
+                    "task_timeout", key=_map_key(i), timeout_s=self.policy.timeout_s
                 )
                 failed.append((i, exc))
                 pool_death = (
@@ -765,32 +555,29 @@ class EvaluationEngine:
         return failed, pool_death
 
     def _account_failures(
-        self,
-        failed: Sequence[tuple[int, BaseException]],
-        attempts: list[int],
-        key_of: Callable[[int], str],
+        self, failed: Sequence[tuple[int, BaseException]], attempts: list[int]
     ) -> list[int]:
         """Bump attempt counts, emit retry events, sleep one backoff.
 
         Backoff is applied once per retry round (the longest delay among
         the round's failures) rather than serially per task, so a wide
-        batch does not stack sleeps.
+        map does not stack sleeps.
         """
         still_pending: list[int] = []
         worst_delay = 0.0
         for i, exc in failed:
+            key = _map_key(i)
             attempts[i] += 1
             if attempts[i] > self.policy.max_retries:
                 self._shutdown_executor(cancel=True)
                 raise EngineError(
-                    f"task {key_of(i)[:12] or i} still failing after "
-                    f"{attempts[i]} attempts: {exc}"
+                    f"task {key} still failing after {attempts[i]} attempts: {exc}"
                 ) from exc
-            delay = self.policy.delay_s(key_of(i), attempts[i])
+            delay = self.policy.delay_s(key, attempts[i])
             worst_delay = max(worst_delay, delay)
             self.events.emit(
                 "retry",
-                key=key_of(i),
+                key=key,
                 attempt=attempts[i],
                 reason=failure_reason(exc),
                 delay_s=delay,
@@ -805,12 +592,8 @@ class EvaluationEngine:
             return None
         if self._executor is None:
             try:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(self.simulator,),
-                )
-            except (OSError, ValueError, pickle.PicklingError) as exc:
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            except (OSError, ValueError) as exc:
                 self._fall_back(f"cannot start worker pool ({exc})")
                 return None
         return self._executor
@@ -847,7 +630,7 @@ class EvaluationEngine:
         """Degrade permanently to serial execution (never an error).
 
         The engine stops *claiming* pool mode too: ``workers`` drops to
-        1 so later batches take the serial path directly instead of
+        1 so later maps take the serial path directly instead of
         re-discovering the broken pool.
         """
         self._pool_broken = True
@@ -863,7 +646,7 @@ class EvaluationEngine:
         """Shut down the worker pool and flush the cache to disk.
 
         Safe to call in any state — including after an exception escaped
-        mid-``evaluate_many`` or the pool broke: outstanding futures are
+        mid-``map`` or the pool broke: outstanding futures are
         cancelled rather than waited on, so close never hangs on a sick
         pool.
         """
@@ -879,7 +662,7 @@ class EvaluationEngine:
         processes (a cancelled future does not stop a task already
         running), and flushes buffered cache writes so completed work
         survives the exit.  Idempotent and never raises; the engine
-        remains usable (a later batch would build a fresh pool).
+        remains usable (a later map would build a fresh pool).
         """
         executor, self._executor = self._executor, None
         if executor is not None:
@@ -913,15 +696,16 @@ class EvaluationEngine:
     # A pickled engine (shipped inside a task to a worker process) wakes
     # up serial, with a fresh private memory cache and bus: workers must
     # not spawn nested pools, share SQLite handles, or carry the parent's
-    # subscribers.  The retry policy and fault plan travel with it, so
-    # nested evaluations keep the same resilience (and injectability).
+    # subscribers.  The retry policy travels with it; the fault plan does
+    # not, because the parent already enacts it on the whole map task — a
+    # nested hang would otherwise overrun the task's deadline on every
+    # attempt.
     def __getstate__(self) -> dict:
         return {
             "simulator": self.simulator,
             "context_digest": self._context_digest,
             "context_bound": self._context_bound,
             "policy": self.policy,
-            "faults": self.faults,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -929,7 +713,7 @@ class EvaluationEngine:
         self.jobs = 1
         self.workers = 1
         self.policy = state.get("policy") or RetryPolicy()
-        self.faults = state.get("faults")
+        self.faults = None
         self.cache = ResultCache(path=None)
         self.events = EventBus()
         self.metrics = EngineMetrics(self.events)

@@ -77,7 +77,8 @@ class RetryPolicy:
         Retries per task beyond the first attempt; exhausting them
         raises :class:`~repro.errors.EngineError`.
     timeout_s:
-        Per-task deadline when running under the worker pool; ``None``
+        Per-task deadline of a pooled :meth:`EvaluationEngine.map` task
+        (a whole search, restart or sweep point); ``None``
         (the default) waits forever.  A timed-out task marks the pool
         suspect (a wedged worker cannot be preempted), so the pool is
         restarted and the task retried.

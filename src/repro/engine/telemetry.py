@@ -18,9 +18,9 @@ finished (or crashed):
   histogram buckets, exportable as JSON or Prometheus textfile format
   (the ``--metrics-out`` flag).
 * :class:`TelemetryCollector` — the standard registry wiring over one
-  bus: evaluation counts, cache hit/miss, batch sizes, per-task
-  evaluation latency and queue wait (from the pool's ``task_span``
-  events), phase durations, retries, search timings.
+  bus: evaluation counts, cache hit/miss, batch sizes, pooled map-task
+  wall time and queue wait (from the pool's ``task_span`` events), phase
+  durations, retries, search timings.
 * :class:`ProgressLine` — a lightweight single-line TTY heartbeat
   (``\\r``-rewritten, rate-limited) so interactive runs show progress
   without scrolling; inert on non-TTY streams.
@@ -811,13 +811,13 @@ class TelemetryCollector:
             "Pairs requested per evaluate_many batch",
             buckets=[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096],
         )
-        self._eval_latency = r.histogram(
-            "repro_eval_latency_seconds",
-            "Per-task evaluation latency measured inside workers",
+        self._task_seconds = r.histogram(
+            "repro_task_seconds",
+            "Wall time of one pooled map task, measured in its worker",
         )
         self._queue_wait = r.histogram(
             "repro_queue_wait_seconds",
-            "Delay between batch submission and task start in a worker",
+            "Delay between map submission and task start in a worker",
         )
         self._phase_seconds = r.histogram(
             "repro_phase_seconds", "Wall time per completed phase"
@@ -855,11 +855,7 @@ class TelemetryCollector:
         elif event == "task_span":
             seconds = payload.get("seconds")
             if seconds is not None:
-                # A chunk span covers `items` evaluations; record the
-                # per-evaluation latency so jobs=1 and jobs=N histograms
-                # measure the same thing.
-                items = max(int(payload.get("items", 1) or 1), 1)
-                self._eval_latency.observe(seconds / items)
+                self._task_seconds.observe(seconds)
             wait = payload.get("queue_wait_s")
             if wait is not None:
                 self._queue_wait.observe(max(float(wait), 0.0))

@@ -1,6 +1,6 @@
 """xp-scalar: simulated-annealing design-space exploration."""
 
-from .annealing import AnnealingResult, AnnealingSchedule, SimulatedAnnealing
+from ..search.anneal import AnnealingResult, AnnealingSchedule, SimulatedAnnealing
 from .moves import MoveGenerator
 from .sweep import ClockSweep, SweepPoint
 from .xpscalar import ExplorationResult, Objective, XpScalar, ipt_objective

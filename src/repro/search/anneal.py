@@ -1,9 +1,8 @@
 """Simulated annealing — the paper's search — as a pluggable strategy.
 
-The generic annealing engine with the paper's rollback rule lived in
-``repro.explore.annealing`` when it was the only search; it now lives
-here as one strategy among several (``repro.explore.annealing`` re-
-exports it unchanged).  xp-scalar's search (§3) is a simulated-annealing
+The generic annealing engine with the paper's rollback rule is one
+strategy among several (``repro.explore`` re-exports its public names
+for the xp-scalar API).  xp-scalar's search (§3) is a simulated-annealing
 process over processor configurations with one distinctive twist: "When
 a configuration is reached for which the IPT is less than half that of
 the optimal configuration, the exploration process rolls back to the

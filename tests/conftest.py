@@ -32,6 +32,17 @@ def update_golden(request) -> bool:
     return bool(request.config.getoption("--update-golden"))
 
 
+@pytest.fixture()
+def many_cpus(monkeypatch):
+    """Let ``jobs > 1`` engines start a real pool even on a small runner.
+
+    The engine bounds its workers by ``available_cpus()``; tests that
+    must exercise the pool lift that bound instead of the engine
+    growing a switch for it.
+    """
+    monkeypatch.setattr("repro.engine.pool.available_cpus", lambda: 64)
+
+
 @pytest.fixture(scope="session")
 def tech():
     return default_technology()

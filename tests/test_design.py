@@ -183,6 +183,13 @@ class TestSampleDesignSpace:
         with pytest.raises(DesignError):
             sample_design_space(2, seed=1, tech=tech, core_types=("vliw",))
 
+    def test_untenable_cache_moves_are_skipped(self):
+        """Regression: a move proposing an L2 smaller than L1 raises
+        ConfigurationError, which the walk must skip like a TimingError
+        (seed 1 hits one within 128 samples)."""
+        fronts = ParetoExplorer().fronts([spec2000_profile("gzip")], samples=128, seed=1)
+        assert fronts["gzip"]
+
 
 class TestParetoExplorer:
     def test_front_is_pareto_optimal_by_independent_check(self, tech):

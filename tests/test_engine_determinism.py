@@ -40,10 +40,10 @@ def _run(explorer):
 
 
 class TestParallelDeterminism:
-    def test_jobs4_matches_jobs1_bit_for_bit(self):
+    def test_jobs4_matches_jobs1_bit_for_bit(self, many_cpus):
         serial = _run(_explorer(jobs=1))
-        # clamp_jobs=False: the pool must really run, even on 1-core CI.
-        with EvaluationEngine(jobs=4, cache=ResultCache(), clamp_jobs=False) as engine:
+        # many_cpus: the pool must really run, even on 1-core CI.
+        with EvaluationEngine(jobs=4, cache=ResultCache()) as engine:
             parallel = _run(
                 XpScalar(schedule=AnnealingSchedule(iterations=ITERATIONS), engine=engine)
             )

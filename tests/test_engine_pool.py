@@ -1,16 +1,12 @@
-"""Evaluation engine: caching, batch dedup, pool parallelism, fallbacks."""
+"""Evaluation engine: caching, batch dedup, map parallelism, fallbacks."""
 
 import pytest
 
+import repro.engine.pool as pool_mod
 from repro.engine import EvaluationEngine, EventBus
 from repro.engine.pool import available_cpus
 from repro.errors import EngineError
 from repro.workloads import spec2000_profile
-
-
-def pool_engine(jobs, **kwargs):
-    """An engine whose pool really runs, even on a 1-core container."""
-    return EvaluationEngine(jobs=jobs, clamp_jobs=False, **kwargs)
 
 
 @pytest.fixture()
@@ -62,14 +58,40 @@ class TestEvaluateMany:
     def test_empty_batch(self):
         assert EvaluationEngine().evaluate_many([]) == []
 
-    def test_parallel_matches_serial(self, initial_config):
+    def test_parallel_matches_serial(self, initial_config, many_cpus):
         profiles = [spec2000_profile(n) for n in ("gzip", "mcf", "gcc", "vpr")]
         configs = [initial_config, initial_config.replace(width=4)]
         pairs = [(p, c) for p in profiles for c in configs]
         serial = EvaluationEngine(jobs=1).evaluate_many(pairs)
-        with pool_engine(2) as parallel_engine:
+        with EvaluationEngine(jobs=2) as parallel_engine:
             parallel = parallel_engine.evaluate_many(pairs)
         assert [r.ipt for r in serial] == [r.ipt for r in parallel]
+
+    def test_pooled_engine_batches_in_process(
+        self, initial_config, many_cpus, monkeypatch
+    ):
+        """Batches never touch the pool: a jobs=4 engine starts no
+        process pool, emits no task span, and matches jobs=1 exactly."""
+        profiles = [spec2000_profile(n) for n in ("gzip", "mcf", "gcc", "vpr")]
+        configs = [initial_config, initial_config.replace(width=4)]
+        pairs = [(p, c) for p in profiles for c in configs] * 2
+        serial = EvaluationEngine(jobs=1).evaluate_many(pairs)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("evaluate_many started a process pool")
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
+        engine = EvaluationEngine(jobs=4)
+        assert engine.workers == 4 and engine.mode == "pool"
+        engine.events.tracing = True
+        seen = []
+        engine.events.subscribe(lambda event, payload: seen.append(event))
+        with engine:
+            pooled = engine.evaluate_many(pairs)
+        assert pooled == serial
+        assert "task_span" not in seen and "batch" in seen
+        assert engine._executor is None
+        assert engine.metrics.fallbacks == 0
 
 
 class TestMap:
@@ -77,12 +99,12 @@ class TestMap:
         engine = EvaluationEngine()
         assert engine.map(abs, [-1, 2, -3]) == [1, 2, 3]
 
-    def test_parallel_map_preserves_order(self):
-        with pool_engine(2) as engine:
+    def test_parallel_map_preserves_order(self, many_cpus):
+        with EvaluationEngine(jobs=2) as engine:
             assert engine.map(abs, list(range(-8, 0))) == list(range(1, 9))[::-1]
 
-    def test_unpicklable_work_falls_back_to_serial(self):
-        with pool_engine(2) as engine:
+    def test_unpicklable_work_falls_back_to_serial(self, many_cpus):
+        with EvaluationEngine(jobs=2) as engine:
             out = engine.map(lambda x: x + 1, [1, 2, 3])  # lambdas don't pickle
         assert out == [2, 3, 4]
         assert engine.metrics.fallbacks == 1
@@ -94,8 +116,9 @@ class TestJobClamping:
         assert engine.jobs == 512
         assert engine.workers <= available_cpus()
 
-    def test_clamp_opt_out_honors_request(self):
-        assert pool_engine(3).workers == 3
+    def test_clamp_opt_out_honors_request(self, many_cpus):
+        # Lifting the CPU bound is the only way past the clamp.
+        assert EvaluationEngine(jobs=3).workers == 3
 
     def test_serial_never_clamped_up(self):
         assert EvaluationEngine(jobs=1).workers == 1

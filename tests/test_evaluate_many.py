@@ -212,12 +212,12 @@ class TestExplorerBatching:
         assert outcome.annealing.evaluations == 25
         assert outcome.annealing.stop_reason == "max_evaluations"
 
-    def test_jobs4_matches_jobs1_with_batching(self):
+    def test_jobs4_matches_jobs1_with_batching(self, many_cpus):
         profile = spec2000_profile("gzip")
         serial = XpScalar(
             schedule=AnnealingSchedule(iterations=40), search_batch=4
         ).customize(profile, seed=2)
-        with EvaluationEngine(jobs=4, cache=ResultCache(), clamp_jobs=False) as engine:
+        with EvaluationEngine(jobs=4, cache=ResultCache()) as engine:
             parallel = XpScalar(
                 schedule=AnnealingSchedule(iterations=40),
                 engine=engine,

@@ -2,9 +2,10 @@
 
 The contract under test is the strongest one the engine makes: *faults
 change nothing but timing*.  For every fault kind — soft crash, hang,
-wrong result, hard worker death, a corrupted cache row, a truncated
-checkpoint — and at both ``jobs=1`` and ``jobs=4``, a run under an armed
-:class:`~repro.engine.faults.FaultPlan` must
+wrong result, a corrupted cache row, a truncated checkpoint — at both
+``jobs=1`` and ``jobs=4``, and for pooled map tasks (whole per-workload
+searches) that crash, kill their worker or hang past the deadline, a
+run under an armed :class:`~repro.engine.faults.FaultPlan` must
 
 * complete (the per-key fault budget guarantees forward progress),
 * produce results bit-identical to a fault-free run, and
@@ -41,6 +42,7 @@ from repro.engine import (
 )
 from repro.explore import AnnealingSchedule, XpScalar
 from repro.characterize.cross import cross_performance
+from repro.errors import EngineError
 from repro.tech import default_technology
 from repro.uarch import initial_configuration
 from repro.workloads.synthetic import (
@@ -52,6 +54,14 @@ from repro.workloads.synthetic import (
 
 SEED = int(os.environ.get("REPRO_FAULT_MATRIX_SEED", "2008"))
 DEFAULT_SEED = SEED == 2008
+
+#: The seeds the nightly job sweeps; every map-level case below is known
+#: to trigger at each of them (other seeds still check completion,
+#: bit-identity and plan/event agreement).
+MATRIX_SEEDS = (11, 23, 2008)
+
+#: Every jobs>1 engine here really gets its workers, even on a small runner.
+pytestmark = pytest.mark.usefixtures("many_cpus")
 
 #: Reason labels the engine emits per injected fault kind.
 REASON = {CRASH: "crash", HANG: "hang", WRONG_RESULT: "integrity"}
@@ -87,9 +97,7 @@ def _run(pairs, jobs, plan, policy=POLICY):
     bus.subscribe(
         lambda e, p: retries.append(p) if e == "retry" else None
     )
-    engine = EvaluationEngine(
-        jobs=jobs, clamp_jobs=False, events=bus, policy=policy, faults=plan
-    )
+    engine = EvaluationEngine(jobs=jobs, events=bus, policy=policy, faults=plan)
     try:
         results = engine.evaluate_many(pairs)
     finally:
@@ -131,34 +139,123 @@ def test_mixed_fault_storm_is_invisible(jobs, pairs, clean_results):
         assert engine.metrics.retries >= 2
 
 
-def test_hard_crash_really_breaks_and_restarts_the_pool(pairs, clean_results):
-    plan = FaultPlan(seed=SEED, crash=0.3, hard_crash=True)
-    results, _, engine = _run(pairs, 4, plan)
-    assert results == clean_results
-    expect_any = any(
-        CRASH in plan.expected_faults(engine.key_for(p, c)) for p, c in pairs
+# ----------------------------------------------------------------------
+# map granularity: whole per-workload searches across the pool
+# ----------------------------------------------------------------------
+
+SUITE_ITERATIONS = 60
+
+
+def _suite():
+    return [compute_kernel(), branchy(), pointer_chasing(), streaming()]
+
+
+def _outcomes(results):
+    return {n: (r.config, r.score, r.result) for n, r in results.items()}
+
+
+@pytest.fixture(scope="module")
+def warm_suite():
+    """A clean ``jobs=1`` suite run and the cache it leaves warm.
+
+    Pooled runs share the cache, so the parent's own evaluations (the
+    consistency pass) are all hits and every fault the parent sees is a
+    map fault; workers evaluate into private caches and run clean.
+    """
+    cache = ResultCache()
+    xp = XpScalar(
+        schedule=AnnealingSchedule(iterations=SUITE_ITERATIONS),
+        engine=EvaluationEngine(jobs=1, cache=cache),
     )
+    return cache, _outcomes(xp.customize_all(_suite(), seed=5, cross_seed_rounds=0))
+
+
+def _customize_pooled(cache, plan, policy=POLICY):
+    """``customize_all`` at ``jobs=4``; returns (outcomes, events, engine)."""
+    events = []
+    bus = EventBus()
+    bus.subscribe(lambda e, p: events.append((e, p)))
+    engine = EvaluationEngine(
+        jobs=4, cache=cache, events=bus, policy=policy, faults=plan
+    )
+    xp = XpScalar(schedule=AnnealingSchedule(iterations=SUITE_ITERATIONS), engine=engine)
+    try:
+        results = xp.customize_all(_suite(), seed=5, cross_seed_rounds=0)
+    finally:
+        engine.close()
+    return _outcomes(results), events, engine
+
+
+def _map_faults(plan):
+    return [plan.expected_faults(f"map:{i}") for i in range(len(_suite()))]
+
+
+@pytest.mark.parametrize("kind", [CRASH, HANG])
+def test_map_soft_faults_are_invisible_and_fully_predicted(kind, warm_suite):
+    cache, clean = warm_suite
+    plan = FaultPlan(seed=SEED, hang_seconds=0.01, **{kind: 0.4})
+    outcomes, events, engine = _customize_pooled(cache, plan)
+
+    assert outcomes == clean
+    expected = sorted(
+        (f"map:{i}", attempt + 1, REASON[fault])
+        for i, faults in enumerate(_map_faults(plan))
+        for attempt, fault in enumerate(faults)
+    )
+    observed = sorted(
+        (p["key"], p["attempt"], p["reason"]) for e, p in events if e == "retry"
+    )
+    assert observed == expected
+    if SEED in MATRIX_SEEDS:
+        assert expected, "matrix seeds should trigger this kind"
+    assert engine.metrics.pool_restarts == 0 and engine.mode == "pool"
+
+
+def test_hard_crash_really_breaks_and_restarts_the_pool(warm_suite):
+    cache, clean = warm_suite
+    plan = FaultPlan(seed=SEED, crash=0.4, hard_crash=True)
+    outcomes, _, engine = _customize_pooled(cache, plan)
+    assert outcomes == clean
+    # At most 2 faults per key x 4 keys <= the 8 allowed restarts.
+    assert engine.metrics.fallbacks == 0
+    expect_any = any(CRASH in faults for faults in _map_faults(plan))
+    if SEED in MATRIX_SEEDS:
+        assert expect_any
     if expect_any:
         assert engine.metrics.pool_restarts >= 1
 
 
-def test_hangs_past_the_deadline_time_out_and_recover(pairs, clean_results):
-    plan = FaultPlan(seed=SEED, hang=0.3, hang_seconds=1.5)
+def test_hangs_past_the_deadline_time_out_and_recover(warm_suite):
+    cache, clean = warm_suite
+    plan = FaultPlan(seed=SEED, hang=0.4, hang_seconds=3.0)
     policy = RetryPolicy(
         max_retries=10,
-        timeout_s=0.2,
+        timeout_s=1.0,
         backoff_base_s=0.001,
         backoff_max_s=0.01,
         pool_restarts=8,
     )
-    results, _, engine = _run(pairs, 4, plan, policy)
-    assert results == clean_results
-    expect_any = any(
-        HANG in plan.expected_faults(engine.key_for(p, c)) for p, c in pairs
-    )
+    outcomes, events, engine = _customize_pooled(cache, plan, policy)
+    assert outcomes == clean
+    # Only map tasks hang (worker engines carry no plan), so the pool
+    # outlives them: at most 2 hangs per key x 4 keys <= 8 restarts.
+    assert engine.metrics.fallbacks == 0
+    expect_any = any(HANG in faults for faults in _map_faults(plan))
+    if SEED in MATRIX_SEEDS:
+        assert expect_any
     if expect_any:
+        names = {e for e, _ in events}
+        assert {"task_timeout", "pool_restart"} <= names
         assert engine.metrics.timeouts >= 1
         assert engine.metrics.pool_restarts >= 1
+
+
+def test_map_tasks_exhausting_retries_raise_engine_error(warm_suite):
+    cache, _ = warm_suite
+    plan = FaultPlan(seed=SEED, crash=1.0, max_faults_per_key=5)
+    policy = RetryPolicy(max_retries=2, backoff_base_s=0.0)
+    with pytest.raises(EngineError, match="still failing after 3 attempts"):
+        _customize_pooled(cache, plan, policy)
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
@@ -182,9 +279,7 @@ def test_corrupted_cache_row_is_quarantined_and_resimulated(
     quarantines = []
     bus = EventBus()
     bus.subscribe(lambda e, p: quarantines.append(p) if e == "quarantine" else None)
-    engine = EvaluationEngine(
-        jobs=jobs, clamp_jobs=False, cache=ResultCache(db), events=bus
-    )
+    engine = EvaluationEngine(jobs=jobs, cache=ResultCache(db), events=bus)
     try:
         assert engine.evaluate_many(pairs) == clean_results
     finally:
@@ -206,7 +301,7 @@ def test_truncated_checkpoint_is_quarantined_and_rerun(jobs, tmp_path):
     def explore(resume):
         xp = XpScalar(
             schedule=AnnealingSchedule(iterations=60),
-            engine=EvaluationEngine(jobs=jobs, clamp_jobs=False),
+            engine=EvaluationEngine(jobs=jobs),
         )
         try:
             return xp, xp.customize_all(
@@ -261,7 +356,7 @@ def test_acceptance_cross_matrix_under_fault_storm(pairs):
         backoff_max_s=0.01,
         pool_restarts=8,
     )
-    engine = EvaluationEngine(jobs=4, clamp_jobs=False, policy=policy, faults=plan)
+    engine = EvaluationEngine(jobs=4, policy=policy, faults=plan)
     try:
         stormy = cross_performance(XpScalar(engine=engine), profiles, configs)
     finally:

@@ -2,9 +2,10 @@
 
 Covers the pieces :mod:`tests.test_faults` exercises only end-to-end:
 the :class:`RetryPolicy` backoff math, :class:`FaultPlan` determinism
-and parsing, result integrity validation — and two lifecycle
-regressions: ``close()`` after an exception escaped mid-batch, and a
-failed pool construction leaving the engine honestly in serial mode.
+and parsing, result integrity validation — and the pool's lifecycle
+regressions: ``close()`` after a map task raised, a failed pool
+construction leaving the engine honestly in serial mode, and map tasks
+that hang past their deadline.
 """
 
 from __future__ import annotations
@@ -170,15 +171,11 @@ class TestResultValidation:
 # ----------------------------------------------------------------------
 
 
-class _PoisonSimulator:
-    """Picklable simulator that errors on one workload name."""
-
-    def evaluate(self, profile, config):
-        if profile.name == "branchy":
-            raise ValueError("poisoned evaluation")
-        from repro.sim.interval import IntervalSimulator
-
-        return IntervalSimulator().evaluate(profile, config)
+def _poisoned(value):
+    """Picklable map task that errors on one item."""
+    if value == 2:
+        raise ValueError("poisoned task")
+    return value
 
 
 def _pairs():
@@ -186,25 +183,22 @@ def _pairs():
     return [(streaming(), config), (branchy(), config)]
 
 
+@pytest.mark.usefixtures("many_cpus")
 class TestEngineLifecycle:
     def test_close_after_exception_mid_batch(self):
-        """Regression: a chunk raising mid-evaluate_many used to leave
-        the executor alive behind an engine that then hung on close."""
-        engine = EvaluationEngine(
-            simulator=_PoisonSimulator(), jobs=2, clamp_jobs=False
-        )
+        """Regression: a task raising mid-map used to leave the executor
+        alive behind an engine that then hung on close."""
+        engine = EvaluationEngine(jobs=2)
         with pytest.raises(ValueError, match="poisoned"):
-            engine.evaluate_many(_pairs())
+            engine.map(_poisoned, [1, 2, 3])
         assert engine._executor is None  # torn down with the exception
         engine.close()  # must not hang or raise
         engine.close()  # idempotent
 
     def test_context_manager_exits_cleanly_after_worker_raise(self):
         with pytest.raises(ValueError, match="poisoned"):
-            with EvaluationEngine(
-                simulator=_PoisonSimulator(), jobs=2, clamp_jobs=False
-            ) as engine:
-                engine.evaluate_many(_pairs())
+            with EvaluationEngine(jobs=2) as engine:
+                engine.map(_poisoned, [1, 2, 3])
         assert engine._executor is None
 
     def test_failed_pool_construction_degrades_honestly(self, monkeypatch):
@@ -217,15 +211,16 @@ class TestEngineLifecycle:
             raise OSError("no processes for you")
 
         monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", explode)
-        engine = EvaluationEngine(jobs=4, clamp_jobs=False)
+        engine = EvaluationEngine(jobs=4)
         assert engine.mode == "pool"
-        results = engine.evaluate_many(_pairs())
-        assert len(results) == 2
+        results = engine.evaluate_many(_pairs())  # batches never need the pool
+        assert engine.map(abs, [-1, -2]) == [1, 2]
         assert engine.mode == "serial"
         assert engine.workers == 1
         assert engine.metrics.fallbacks == 1
-        # Later batches stay serial without re-attempting the pool.
-        assert engine.evaluate_many(_pairs())[0] == results[0]
+        # Later work stays serial without re-attempting the pool.
+        assert engine.map(abs, [-3, -4]) == [3, 4]
+        assert engine.evaluate_many(_pairs()) == results
         assert engine.metrics.fallbacks == 1
         engine.close()
 
@@ -236,19 +231,22 @@ class TestEngineLifecycle:
             pool_mod, "ProcessPoolExecutor",
             lambda *a, **k: (_ for _ in ()).throw(OSError("nope")),
         )
-        engine = EvaluationEngine(jobs=4, clamp_jobs=False)
+        engine = EvaluationEngine(jobs=4)
         assert engine.map(abs, [-1, -2, -3]) == [1, 2, 3]
         assert engine.mode == "serial" and engine.workers == 1
         engine.close()
 
-    def test_pickled_engine_carries_policy_and_faults(self):
+    def test_pickled_engine_carries_policy_not_faults(self):
+        """A worker's engine keeps the retry policy but not the plan: the
+        parent enacts the plan on the whole map task, and a nested hang
+        would overrun that task's deadline on every attempt."""
         policy = RetryPolicy(max_retries=7, backoff_base_s=0.0)
         plan = FaultPlan(seed=4, crash=0.5)
         engine = EvaluationEngine(jobs=2, policy=policy, faults=plan)
         woken = pickle.loads(pickle.dumps(engine))
         assert woken.workers == 1  # workers never nest pools
         assert woken.policy == policy
-        assert woken.faults == plan
+        assert engine.faults == plan and woken.faults is None
         engine.close()
 
     def test_map_survives_a_hung_task(self, tmp_path):
@@ -259,7 +257,7 @@ class TestEngineLifecycle:
             max_retries=5, timeout_s=0.3,
             backoff_base_s=0.001, backoff_max_s=0.01, pool_restarts=4,
         )
-        engine = EvaluationEngine(jobs=2, clamp_jobs=False, policy=policy)
+        engine = EvaluationEngine(jobs=2, policy=policy)
         try:
             out = engine.map(
                 _sleep_once_then_double, [(i, str(marker)) for i in range(4)]
@@ -275,7 +273,7 @@ class TestEngineLifecycle:
             max_retries=1, timeout_s=0.15,
             backoff_base_s=0.0, pool_restarts=10,
         )
-        engine = EvaluationEngine(jobs=2, clamp_jobs=False, policy=policy)
+        engine = EvaluationEngine(jobs=2, policy=policy)
         try:
             with pytest.raises(EngineError, match="still failing"):
                 engine.map(_sleep_forever, [1, 2])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -311,13 +312,13 @@ class TestTelemetryCollector:
         assert r.get("repro_retries_total").value == 1
         assert r.get("repro_checkpoints_total").value == 1
 
-    def test_task_span_feeds_latency_per_evaluation(self):
+    def test_task_span_feeds_task_seconds(self):
         bus = EventBus()
         collector = TelemetryCollector(bus)
-        bus.emit("task_span", name="chunk", seconds=1.0, items=4, queue_wait_s=0.25)
-        latency = collector.registry.get("repro_eval_latency_seconds")
-        assert latency.count == 1
-        assert latency.sum == pytest.approx(0.25)  # 1s over 4 evaluations
+        bus.emit("task_span", name="map", seconds=1.5, queue_wait_s=0.25)
+        tasks = collector.registry.get("repro_task_seconds")
+        assert tasks.count == 1
+        assert tasks.sum == pytest.approx(1.5)  # whole task, not per evaluation
         wait = collector.registry.get("repro_queue_wait_seconds")
         assert wait.sum == pytest.approx(0.25)
 
@@ -375,25 +376,33 @@ class TestWorkerSpanStitching:
         configs = [initial_config, initial_config.replace(width=4)]
         return [(p, c) for p in profiles for c in configs]
 
-    def test_batch_span_parents_worker_task_spans(self, pairs):
-        with EvaluationEngine(jobs=2, clamp_jobs=False) as engine:
+    def test_enclosing_span_parents_map_task_spans(self, many_cpus):
+        with EvaluationEngine(jobs=2) as engine:
             engine.events.tracing = True
             seen = recorder(engine.events)
-            engine.evaluate_many(pairs)
-        batch_spans = [p for e, p in seen if e == "span_start" and p["kind"] == "batch"]
+            with engine.events.span("sweep", kind="phase"):
+                assert engine.map(abs, [-3, -2, -1]) == [3, 2, 1]
+        outer = [p for e, p in seen if e == "span_start" and p["name"] == "sweep"]
         tasks = [p for e, p in seen if e == "task_span"]
-        assert len(batch_spans) == 1
-        assert tasks, "pooled traced batch must emit worker task spans"
+        assert len(outer) == 1
+        assert [t["key"] for t in tasks] == ["map:0", "map:1", "map:2"]
         for task in tasks:
-            assert task["parent"] == batch_spans[0]["span"]
+            assert task["name"] == "map"
+            assert task["parent"] == outer[0]["span"]
             assert task["trace"] == engine.events.trace_id
-            assert task["worker_pid"] != 0
+            assert task["worker_pid"] != os.getpid()
             assert task["seconds"] >= 0.0
             assert task["queue_wait_s"] >= 0.0
 
-    def test_tracing_does_not_change_results(self, pairs):
+    def test_untraced_map_emits_no_task_spans(self, many_cpus):
+        with EvaluationEngine(jobs=2) as engine:
+            seen = recorder(engine.events)
+            assert engine.map(abs, [-2, -1]) == [2, 1]
+        assert not [p for e, p in seen if e == "task_span"]
+
+    def test_tracing_does_not_change_results(self, pairs, many_cpus):
         plain = EvaluationEngine(jobs=1).evaluate_many(pairs)
-        with EvaluationEngine(jobs=2, clamp_jobs=False) as engine:
+        with EvaluationEngine(jobs=2) as engine:
             engine.events.tracing = True
             traced = engine.evaluate_many(pairs)
         assert [r.ipt for r in plain] == [r.ipt for r in traced]
