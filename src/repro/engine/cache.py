@@ -204,7 +204,8 @@ class ResultCache:
         return None
 
     def put(self, key: str, result: SimResult) -> None:
-        """Store one result under its content key (write-through to disk)."""
+        """Store one result under its content key (write-through to the
+        backend, which may buffer it until its next flush)."""
         self._remember(key, result, store=True)
         self.stats.stores += 1
 
@@ -287,6 +288,7 @@ class ResultCache:
 
     def close(self) -> None:
         """Flush and release the disk handle (memory tier survives)."""
+        self.flush()  # a failed write degrades (and reports) here
         if self.backend is not None:
             self.backend.close()
             self.backend = None

@@ -11,8 +11,8 @@ implementations ship:
 * :class:`SQLiteBackend` — the historical SQLite file, now safe for
   concurrent multi-process access: WAL journaling, a ``busy_timeout``,
   and retry-on-``SQLITE_BUSY`` so a database locked by a sibling
-  process degrades to a *wait* instead of losing the disk tier
-  (``sqlite:<file>``);
+  process degrades to a *wait* instead of losing the disk tier; rows
+  are written in group commits (``sqlite:<file>``);
 * :class:`DirectoryBackend` — one file per key under a fan-out
   directory, written atomically (write-temp + rename), so concurrent
   writers on any shared filesystem never tear each other's entries
@@ -82,6 +82,9 @@ STORAGE_MESSAGES = (
     "disk i/o error",
     "unable to open database",
 )
+
+#: Rows a :class:`SQLiteBackend` buffers before it writes them as one group.
+GROUP_COMMIT_ROWS = 256
 
 #: Error-message fragments that mean "locked by a sibling" — retryable.
 BUSY_MESSAGES = ("database is locked", "database is busy", "database table is locked")
@@ -264,8 +267,15 @@ class SQLiteBackend(CacheBackend):
       a short sleep up to ``busy_retries`` times, and only then raised
       as :class:`CacheUnavailable` (degrade, never quarantine: a busy
       database is a healthy database);
-    * per-write commits (WAL + ``synchronous=NORMAL`` keeps them cheap)
-      so a row stored by one replica is immediately visible to others.
+    * group commits — ``put`` buffers rows (this handle's ``get`` sees
+      them at once) and writes them in one short transaction when
+      :data:`GROUP_COMMIT_ROWS` are pending, on :meth:`flush` and
+      :meth:`close`, and before ``len``, ``in`` and :meth:`keys`.  Other
+      handles see a row only after that write.  No write transaction
+      stays open between calls, so a busy lock is met (and retried) at
+      the write.  Rows still buffered when the process dies, or in a
+      group whose write fails, are lost; evaluation is deterministic,
+      so a later run simply recomputes them.
 
     Connections are created with ``check_same_thread=False`` and every
     operation holds an internal lock, so one backend instance may be
@@ -286,6 +296,8 @@ class SQLiteBackend(CacheBackend):
         self.busy_retries = busy_retries
         self._lock = threading.RLock()
         self._conn: sqlite3.Connection | None = None
+        #: Rows accepted by ``put`` and not yet written, by key.
+        self._pending: dict[str, tuple[str, str | None]] = {}
         self.location.parent.mkdir(parents=True, exist_ok=True)
         self._connect()
 
@@ -298,28 +310,42 @@ class SQLiteBackend(CacheBackend):
     # -- connection -----------------------------------------------------
 
     def _connect(self) -> None:
-        try:
-            conn = sqlite3.connect(
-                self.location,
-                timeout=self.busy_timeout_s,
-                check_same_thread=False,
-            )
-            conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS results ("
-                "key TEXT PRIMARY KEY, value TEXT NOT NULL, checksum TEXT)"
-            )
-            # Databases written before checksumming existed lack the
-            # column; add it in place (their rows verify as legacy).
-            columns = {row[1] for row in conn.execute("PRAGMA table_info(results)")}
-            if "checksum" not in columns:
-                conn.execute("ALTER TABLE results ADD COLUMN checksum TEXT")
-            conn.commit()
-        except sqlite3.DatabaseError as exc:
-            raise self._classify(exc, "open") from exc
-        self._conn = conn
+        """Open the store, retrying a busy database like any statement.
+
+        Opening can meet a lock that SQLite reports at once instead of
+        waiting ``busy_timeout`` out (two handles creating or switching
+        a new file to WAL together); the whole open is then retried.
+        """
+        for attempt in range(self.busy_retries + 1):
+            conn = None
+            try:
+                conn = sqlite3.connect(
+                    self.location,
+                    timeout=self.busy_timeout_s,
+                    check_same_thread=False,
+                )
+                conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS results ("
+                    "key TEXT PRIMARY KEY, value TEXT NOT NULL, checksum TEXT)"
+                )
+                # Databases written before checksumming existed lack the
+                # column; add it in place (their rows verify as legacy).
+                columns = {row[1] for row in conn.execute("PRAGMA table_info(results)")}
+                if "checksum" not in columns:
+                    conn.execute("ALTER TABLE results ADD COLUMN checksum TEXT")
+                conn.commit()
+            except sqlite3.DatabaseError as exc:
+                if conn is not None:
+                    conn.close()
+                if self._is_busy(exc) and attempt < self.busy_retries:
+                    time.sleep(0.05 * (attempt + 1))
+                    continue
+                raise self._classify(exc, "open") from exc
+            self._conn = conn
+            return
 
     def _classify(self, exc: sqlite3.DatabaseError, action: str) -> CacheBackendError:
         message = str(exc).lower()
@@ -336,80 +362,123 @@ class SQLiteBackend(CacheBackend):
         message = str(exc).lower()
         return any(fragment in message for fragment in BUSY_MESSAGES)
 
-    def _execute(self, action: str, sql: str, params: tuple = (), commit: bool = False):
+    def _execute(
+        self,
+        action: str,
+        sql: str,
+        params: tuple | list = (),
+        commit: bool = False,
+        many: bool = False,
+    ):
         """Run one statement under the lock, retrying SQLITE_BUSY.
 
         ``busy_timeout`` already makes SQLite wait; the retry loop on
         top covers locks that outlive it (a sibling mid-bulk-write).
         Exhausting the budget raises :class:`CacheUnavailable` — the
-        file is healthy, just contended.
+        file is healthy, just contended.  A failed write is rolled back,
+        so no transaction outlives the call.
         """
         if self._conn is None:
             raise CacheUnavailable("backend is closed")
+        run = self._conn.executemany if many else self._conn.execute
         with self._lock:
             for attempt in range(self.busy_retries + 1):
                 try:
-                    cursor = self._conn.execute(sql, params)
+                    cursor = run(sql, params)
                     if commit:
                         self._conn.commit()
                     return cursor
                 except sqlite3.DatabaseError as exc:
+                    if commit:
+                        with contextlib.suppress(sqlite3.Error):
+                            self._conn.rollback()
                     if self._is_busy(exc) and attempt < self.busy_retries:
                         time.sleep(0.05 * (attempt + 1))
                         continue
                     raise self._classify(exc, action) from exc
 
+    def _write_pending(self) -> None:
+        """Write every buffered row in one transaction (group commit).
+
+        The buffer is emptied first: a group whose write fails is
+        dropped, not retried by a later call.
+        """
+        with self._lock:
+            if not self._pending:
+                return
+            rows = [(key, value, checksum) for key, (value, checksum) in self._pending.items()]
+            self._pending.clear()
+            self._execute(
+                "write",
+                "INSERT OR REPLACE INTO results (key, value, checksum) VALUES (?, ?, ?)",
+                rows,
+                commit=True,
+                many=True,
+            )
+
     # -- rows -----------------------------------------------------------
 
     def get(self, key: str) -> tuple[str, str | None] | None:
-        row = self._execute(
-            "read", "SELECT value, checksum FROM results WHERE key = ?", (key,)
-        ).fetchone()
+        with self._lock:
+            row = self._pending.get(key)
+            if row is not None:
+                return row
+            row = self._execute(
+                "read", "SELECT value, checksum FROM results WHERE key = ?", (key,)
+            ).fetchone()
         return None if row is None else (row[0], row[1])
 
     def put(self, key: str, value: str, checksum: str | None) -> None:
-        self._execute(
-            "write",
-            "INSERT OR REPLACE INTO results (key, value, checksum) VALUES (?, ?, ?)",
-            (key, value, checksum),
-            commit=True,
-        )
+        with self._lock:
+            if self._conn is None:
+                raise CacheUnavailable("backend is closed")
+            self._pending[key] = (value, checksum)
+            if len(self._pending) >= GROUP_COMMIT_ROWS:
+                self._write_pending()
 
     def delete(self, key: str) -> None:
-        self._execute(
-            "delete", "DELETE FROM results WHERE key = ?", (key,), commit=True
-        )
+        with self._lock:
+            self._pending.pop(key, None)
+            self._execute(
+                "delete", "DELETE FROM results WHERE key = ?", (key,), commit=True
+            )
 
     def __len__(self) -> int:
-        (count,) = self._execute("count", "SELECT COUNT(*) FROM results").fetchone()
+        with self._lock:
+            self._write_pending()
+            (count,) = self._execute("count", "SELECT COUNT(*) FROM results").fetchone()
         return int(count)
 
     def __contains__(self, key: str) -> bool:
-        row = self._execute(
-            "read", "SELECT 1 FROM results WHERE key = ?", (key,)
-        ).fetchone()
+        with self._lock:
+            self._write_pending()
+            row = self._execute(
+                "read", "SELECT 1 FROM results WHERE key = ?", (key,)
+            ).fetchone()
         return row is not None
 
     def keys(self) -> Iterator[str]:
-        rows = self._execute("read", "SELECT key FROM results ORDER BY key").fetchall()
+        with self._lock:
+            self._write_pending()
+            rows = self._execute("read", "SELECT key FROM results ORDER BY key").fetchall()
         return iter([row[0] for row in rows])
 
     def clear(self) -> None:
-        self._execute("clear", "DELETE FROM results", commit=True)
+        with self._lock:
+            self._pending.clear()
+            self._execute("clear", "DELETE FROM results", commit=True)
 
     # -- lifecycle ------------------------------------------------------
 
     def flush(self) -> None:
-        if self._conn is None:
-            return
-        with self._lock:
-            try:
-                self._conn.commit()
-            except sqlite3.DatabaseError as exc:
-                raise self._classify(exc, "commit") from exc
+        self._write_pending()
 
     def close(self) -> None:
         with self._lock:
+            # Best effort: a group that cannot be written now is lost,
+            # like one still buffered at a crash.
+            with contextlib.suppress(CacheBackendError):
+                self._write_pending()
             conn, self._conn = self._conn, None
             if conn is not None:
                 try:

@@ -39,32 +39,61 @@ def _type_name(obj: Any) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
+#: Marks a field that always encodes (see ``__canonical_omit_defaults__``).
+_ALWAYS = object()
+
+#: Per-dataclass encoding plan: the qualified type name and, for each
+#: field in declaration order, its name and either the default value
+#: that omits it or ``_ALWAYS``.
+_PLANS: dict[type, tuple[str, tuple[tuple[str, Any], ...]]] = {}
+
+
+def _plan(cls: type) -> tuple[str, tuple[tuple[str, Any], ...]]:
+    # A dataclass may list newly added fields in
+    # ``__canonical_omit_defaults__``: such a field is omitted from the
+    # encoding while it holds its default value, so growing a type does
+    # not reshuffle the digests (cache keys, run signatures, seeded
+    # fault schedules) of every value that predates the field.
+    # Non-default values always encode.
+    omit = getattr(cls, "__canonical_omit_defaults__", ())
+    fields = tuple(
+        (
+            field.name,
+            field.default
+            if field.name in omit and field.default is not dataclasses.MISSING
+            else _ALWAYS,
+        )
+        for field in dataclasses.fields(cls)
+    )
+    plan = _PLANS[cls] = (f"{cls.__module__}.{cls.__qualname__}", fields)
+    return plan
+
+
 def canonical(obj: Any) -> Any:
     """Recursively encode ``obj`` into a JSON-serializable canonical form."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    cls = type(obj)
+    # Exact builtin types first: they are most of every key.
+    if cls is str or cls is int or obj is None:
+        return obj
+    if cls is float:
+        return {"__float__": repr(obj)}
+    if isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         # float(obj) strips float subclasses (np.float64) down to the
         # plain IEEE double so their reprs don't leak the subtype name.
         return {"__float__": repr(float(obj))}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # A dataclass may list newly added fields in
-        # ``__canonical_omit_defaults__``: such a field is omitted from
-        # the encoding while it holds its default value, so growing a
-        # type does not reshuffle the digests (cache keys, run
-        # signatures, seeded fault schedules) of every value that
-        # predates the field.  Non-default values always encode.
-        omit = getattr(obj, "__canonical_omit_defaults__", ())
-        encoded: dict[str, Any] = {"__type__": _type_name(obj)}
-        for field in dataclasses.fields(obj):
-            value = getattr(obj, field.name)
-            if (
-                field.name in omit
-                and field.default is not dataclasses.MISSING
-                and value == field.default
-            ):
+    plan = _PLANS.get(cls)
+    if plan is None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        plan = _plan(cls)
+    if plan is not None:
+        name, fields = plan
+        encoded: dict[str, Any] = {"__type__": name}
+        for field_name, default in fields:
+            value = getattr(obj, field_name)
+            if default is not _ALWAYS and value == default:
                 continue
-            encoded[field.name] = canonical(value)
+            encoded[field_name] = canonical(value)
         return encoded
     if isinstance(obj, (list, tuple)):
         return [canonical(item) for item in obj]

@@ -28,7 +28,8 @@ repair (the annealing engine skips such proposals).
 
 from __future__ import annotations
 
-from typing import Callable
+from bisect import bisect_right
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,6 +48,35 @@ from ..uarch.fit import (
 _CLOCK_STEP_DOWN = 0.85
 _CLOCK_STEP_UP = 1.18
 
+#: Move weights in ``propose`` order (clock, depth, width, size,
+#: geometry): clock and depth moves are the paper's primary pair.
+_MOVE_WEIGHTS = (0.30, 0.25, 0.15, 0.15, 0.15)
+#: Their cumulative distribution, normalized exactly as numpy's
+#: ``Generator.choice(n, p=...)`` normalizes it.
+_MOVE_CDF = tuple((np.cumsum(_MOVE_WEIGHTS) / np.cumsum(_MOVE_WEIGHTS)[-1]).tolist())
+
+_T = TypeVar("_T")
+
+
+def weighted_index(rng: np.random.Generator, cdf: Sequence[float]) -> int:
+    """Draw an index from a normalized cdf.
+
+    Consumes the RNG exactly like ``rng.choice(len(cdf), p=weights)``
+    (one ``random()`` draw located with a right-sided search), so it
+    returns the same index from the same stream.
+    """
+    return bisect_right(cdf, rng.random())
+
+
+def pick(rng: np.random.Generator, options: Sequence[_T]) -> _T:
+    """Draw one option uniformly, like ``rng.choice(options)``.
+
+    Consumes the RNG exactly as ``Generator.choice`` does for a
+    sequence (one ``integers(0, len)`` draw) but returns the option
+    itself rather than a numpy scalar.
+    """
+    return options[rng.integers(0, len(options))]
+
 
 class MoveGenerator:
     """Random neighbour generator for :class:`CoreConfig` states."""
@@ -63,16 +93,14 @@ class MoveGenerator:
 
     def propose(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """One random move; always returns a re-fitted configuration."""
-        moves: list[Callable[[CoreConfig, np.random.Generator], CoreConfig]] = [
+        moves: tuple[Callable[[CoreConfig, np.random.Generator], CoreConfig], ...] = (
             self.clock_move,
             self.depth_move,
             self.width_move,
             self.size_move,
             self.geometry_move,
-        ]
-        # Clock and depth moves are the paper's primary pair; weight them.
-        weights = np.array([0.30, 0.25, 0.15, 0.15, 0.15])
-        move = moves[int(rng.choice(len(moves), p=weights))]
+        )
+        move = moves[weighted_index(rng, _MOVE_CDF)]
         return move(config, rng)
 
     # ------------------------------------------------------------------
@@ -82,12 +110,9 @@ class MoveGenerator:
     def clock_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Scale the clock period and re-fit every unit."""
         factor = rng.uniform(_CLOCK_STEP_DOWN, _CLOCK_STEP_UP)
-        clock = float(
-            np.clip(
-                config.clock_period_ns * factor,
-                self._tech.min_clock_ns,
-                self._tech.max_clock_ns,
-            )
+        clock = min(
+            max(config.clock_period_ns * factor, self._tech.min_clock_ns),
+            self._tech.max_clock_ns,
         )
         if abs(clock - config.clock_period_ns) < 1e-6:
             raise TimingError("clock move hit the clock-range boundary")
@@ -101,8 +126,8 @@ class MoveGenerator:
 
     def depth_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Re-pipeline one unit by one stage and re-size it."""
-        unit = rng.choice(["iq", "scheduler", "lsq", "l1", "l2"])
-        delta = int(rng.choice([-1, 1]))
+        unit = pick(rng, ("iq", "scheduler", "lsq", "l1", "l2"))
+        delta = pick(rng, (-1, 1))
         space = self._space
         clock = config.clock_period_ns
 
@@ -158,7 +183,7 @@ class MoveGenerator:
 
     def width_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Widen or narrow the machine and re-fit the ported structures."""
-        delta = int(rng.choice([-1, 1]))
+        delta = pick(rng, (-1, 1))
         width = config.width + delta
         if width not in self._space.widths:
             raise TimingError("width move out of range")
@@ -168,7 +193,7 @@ class MoveGenerator:
 
     def size_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Re-size one buffer to a random legal size within its budget."""
-        unit = rng.choice(["rob", "iq", "lsq"])
+        unit = pick(rng, ("rob", "iq", "lsq"))
         space = self._space
         clock = config.clock_period_ns
 
@@ -179,7 +204,7 @@ class MoveGenerator:
             choices = [s for s in space.rob_sizes if cap is not None and s <= cap]
             if not choices:
                 raise TimingError("no legal ROB size")
-            size = int(rng.choice(choices))
+            size = pick(rng, choices)
             changed = config.replace(rob_size=size, iq_size=min(config.iq_size, size))
         elif unit == "iq":
             cap = max_iq_size(
@@ -197,19 +222,19 @@ class MoveGenerator:
             ]
             if not choices:
                 raise TimingError("no legal issue queue size")
-            changed = config.replace(iq_size=int(rng.choice(choices)))
+            changed = config.replace(iq_size=pick(rng, choices))
         else:
             cap = max_lsq_size(self._model, self._tech, clock, config.lsq_depth, space)
             choices = [s for s in space.lsq_sizes if cap is not None and s <= cap]
             if not choices:
                 raise TimingError("no legal LSQ size")
-            changed = config.replace(lsq_size=int(rng.choice(choices)))
+            changed = config.replace(lsq_size=pick(rng, choices))
 
         return refit_config(changed, self._tech, self._model, self._space, rng=None)
 
     def geometry_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Randomly re-pick one cache's geometry within its cycle budget."""
-        level = int(rng.choice([1, 2]))
+        level = pick(rng, (1, 2))
         cache = config.l1 if level == 1 else config.l2
         fitting = fitting_cache_geometries(
             self._model,

@@ -405,6 +405,11 @@ class ExplorationService:
                     error = "interrupted by service shutdown"
                 except Exception as exc:  # pragma: no cover - defensive
                     error = f"internal error: {exc!r}"
+                # Write the job's buffered rows before the job is seen to
+                # end: a client told "completed" may next ask a sibling
+                # replica of the same store.
+                if engine.cache is not None:
+                    engine.cache.flush()
             seconds = time.perf_counter() - started
 
             after = engine.metrics.snapshot()

@@ -48,11 +48,15 @@ class CactiModel:
     node, and exploration re-times the same handful of structures on
     every move, so repeat geometries are answered from ``_memo`` (hit
     and miss counts are kept on ``memo_hits``/``memo_misses``).
+
+    ``fit_tables`` holds the per-candidate delay tables that
+    :mod:`repro.uarch.fit` builds on first use; it starts empty.
     """
 
     def __init__(self, tech: TechnologyNode) -> None:
         self._tech = tech
         self._memo: dict[tuple, CactiResult] = {}
+        self.fit_tables: dict[tuple, object] = {}
         self.memo_hits = 0
         self.memo_misses = 0
 

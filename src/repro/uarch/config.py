@@ -17,7 +17,7 @@ front-end / memory cycle counts cover the node's fixed latencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..tech import CactiModel, TechnologyNode
@@ -144,7 +144,7 @@ class CoreConfig:
 
     def replace(self, **changes) -> "CoreConfig":
         """A copy with the given fields replaced (validation re-runs)."""
-        return replace(self, **changes)
+        return type(self)(**{**self.__dict__, **changes})
 
     @property
     def is_inorder(self) -> bool:

@@ -66,6 +66,50 @@ def min_stages(
     return needed if needed <= max_stages else None
 
 
+# ----------------------------------------------------------------------
+# delay tables
+# ----------------------------------------------------------------------
+#
+# A unit's delay depends only on the CACTI model and the unit's size (and
+# width, for ported structures); only the budget moves with the clock.
+# Each model therefore keeps, in ``CactiModel.fit_tables``, the delays of
+# every candidate, computed once on first use: scalar units keyed by
+# (unit, sizes, width), cache levels by (space, level).  The answers
+# equal the brute-force scans (``max_fitting`` and a filter over the
+# candidates): same candidate order, same ``fits`` test.
+
+_SCALAR_DELAYS: dict[str, Callable[[CactiModel, int, int], float]] = {
+    "iq": issue_queue_ns,
+    "rob": regfile_ns,
+    "lsq": lambda model, size, width: lsq_ns(model, size),
+}
+
+
+def _scalar_table(
+    model: CactiModel, unit: str, sizes: Sequence[int], width: int
+) -> tuple[tuple[int, float], ...]:
+    """``(size, delay)`` of every candidate size, largest size first."""
+    key = (unit, sizes, width)
+    table = model.fit_tables.get(key)
+    if table is None:
+        delay_of = _SCALAR_DELAYS[unit]
+        table = model.fit_tables[key] = tuple(
+            (size, delay_of(model, size, width)) for size in sorted(sizes, reverse=True)
+        )
+    return table
+
+
+def _largest_fitting(
+    table: tuple[tuple[int, float], ...], budget_ns: float
+) -> int | None:
+    """``max_fitting`` over a precomputed table."""
+    limit = budget_ns + 1e-9
+    for size, delay in table:
+        if delay <= limit:
+            return size
+    return None
+
+
 def max_iq_size(
     model: CactiModel,
     tech: TechnologyNode,
@@ -75,8 +119,8 @@ def max_iq_size(
     space: DesignSpace,
 ) -> int | None:
     """Largest issue queue whose wake-up+select loop fits ``stages``."""
-    budget = tech.budget(clock_period_ns, stages)
-    return max_fitting(space.iq_sizes, lambda s: issue_queue_ns(model, s, width), budget)
+    table = _scalar_table(model, "iq", space.iq_sizes, width)
+    return _largest_fitting(table, tech.budget(clock_period_ns, stages))
 
 
 def max_rob_size(
@@ -88,8 +132,8 @@ def max_rob_size(
     space: DesignSpace,
 ) -> int | None:
     """Largest ROB/register file fitting the scheduler/regfile depth."""
-    budget = tech.budget(clock_period_ns, stages)
-    return max_fitting(space.rob_sizes, lambda s: regfile_ns(model, s, width), budget)
+    table = _scalar_table(model, "rob", space.rob_sizes, width)
+    return _largest_fitting(table, tech.budget(clock_period_ns, stages))
 
 
 def max_lsq_size(
@@ -100,8 +144,8 @@ def max_lsq_size(
     space: DesignSpace,
 ) -> int | None:
     """Largest LSQ whose associative search fits the LSQ depth."""
-    budget = tech.budget(clock_period_ns, stages)
-    return max_fitting(space.lsq_sizes, lambda s: lsq_ns(model, s), budget)
+    table = _scalar_table(model, "lsq", space.lsq_sizes, 0)
+    return _largest_fitting(table, tech.budget(clock_period_ns, stages))
 
 
 def fitting_cache_geometries(
@@ -113,16 +157,18 @@ def fitting_cache_geometries(
     level: int,
 ) -> list[tuple[int, int, int]]:
     """All (nsets, assoc, block) triples of a level that fit ``cycles``."""
-    budget = tech.budget(clock_period_ns, cycles)
-    if level == 1:
-        candidates = space.l1_geometries()
-        delay = lambda g: l1_cache_ns(model, *g)  # noqa: E731
-    elif level == 2:
-        candidates = space.l2_geometries()
-        delay = lambda g: l2_cache_ns(model, *g)  # noqa: E731
-    else:
-        raise ValueError(f"cache level must be 1 or 2, got {level}")
-    return [g for g in candidates if fits(delay(g), budget)]
+    key = (space, level)
+    table = model.fit_tables.get(key)
+    if table is None:
+        if level == 1:
+            candidates, delay_of = space.l1_geometries(), l1_cache_ns
+        elif level == 2:
+            candidates, delay_of = space.l2_geometries(), l2_cache_ns
+        else:
+            raise ValueError(f"cache level must be 1 or 2, got {level}")
+        table = model.fit_tables[key] = tuple((g, delay_of(model, *g)) for g in candidates)
+    limit = tech.budget(clock_period_ns, cycles) + 1e-9
+    return [geometry for geometry, delay in table if delay <= limit]
 
 
 def best_cache_geometry(

@@ -22,6 +22,7 @@ from repro.engine.cache_backends import (
     CacheBackend,
     CacheCorruption,
     CacheUnavailable,
+    GROUP_COMMIT_ROWS,
     DirectoryBackend,
     MemoryBackend,
     SQLiteBackend,
@@ -284,50 +285,151 @@ def test_sqlite_uses_wal_and_busy_timeout(tmp_path):
     backend.close()
 
 
-def test_sqlite_put_is_immediately_visible_to_sibling_handle(tmp_path):
-    """Per-put commits + WAL: no flush needed for cross-process reads."""
+def test_sqlite_put_is_visible_to_sibling_handle_after_group_commit(tmp_path):
+    """Group commits + WAL: a sibling sees a row once its group is
+    written — on flush(), at the row bound, or on close() — and never
+    before.  The writing handle sees its own rows at once."""
     path = tmp_path / "shared.sqlite"
     writer = SQLiteBackend(path)
     reader = SQLiteBackend(path)
     writer.put("k", "v", "c")
+    assert writer.get("k") == ("v", "c")
+    assert reader.get("k") is None
+    writer.flush()
     assert reader.get("k") == ("v", "c")
+
+    for i in range(GROUP_COMMIT_ROWS - 1):
+        writer.put(f"bulk-{i}", "v", None)
+    assert reader.get("bulk-0") is None
+    writer.put("bulk-last", "v", None)  # the bound writes the whole group
+    assert reader.get("bulk-0") == ("v", None)
+    assert reader.get("bulk-last") == ("v", None)
+
+    writer.put("tail", "t", None)
+    assert reader.get("tail") is None
+    writer.close()
+    assert reader.get("tail") == ("t", None)
+    reader.close()
+
+
+def test_sqlite_count_membership_and_keys_include_buffered_rows(tmp_path):
+    path = tmp_path / "pending.sqlite"
+    writer = SQLiteBackend(path)
+    reader = SQLiteBackend(path)
+    writer.put("a", "1", None)
+    assert "a" in writer
+    writer.put("b", "2", None)
+    assert len(writer) == 2
+    writer.put("c", "3", None)
+    assert list(writer.keys()) == ["a", "b", "c"]
+    assert len(reader) == 3  # each of those wrote the pending rows
+    writer.put("d", "4", None)
+    writer.delete("d")  # a buffered row can be deleted before it lands
+    writer.flush()
+    assert "d" not in reader
     writer.close()
     reader.close()
 
 
+def test_sqlite_group_commits_under_thread_contention(tmp_path):
+    """Threads sharing one handle cross the row bound many times over; no
+    row is lost or torn between the buffer and the database."""
+    import sys
+
+    path = tmp_path / "contended.sqlite"
+    backend = SQLiteBackend(path)
+    errors: list[Exception] = []
+
+    def writer(worker: int) -> None:
+        try:
+            for i in range(100):
+                key = f"w{worker}-{i}"
+                backend.put(key, f"value-{worker}-{i}", None)
+                assert backend.get(key) == (f"value-{worker}-{i}", None)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    backend.flush()
+    sibling = SQLiteBackend(path)
+    assert len(sibling) == 8 * 100
+    assert sibling.get("w7-99") == ("value-7-99", None)
+    sibling.close()
+    backend.close()
+
+
 def test_sqlite_busy_lock_degrades_not_quarantines(tmp_path):
-    """A write lock held past the busy budget raises CacheUnavailable —
-    and the store file survives untouched for when the lock clears."""
+    """A write lock held past the busy budget raises CacheUnavailable at
+    the group write — and the store file survives untouched for when the
+    lock clears.  The failed group is dropped, never half-written."""
     path = tmp_path / "busy.sqlite"
     backend = SQLiteBackend(path, busy_timeout_s=0.05, busy_retries=1)
     backend.put("before", "v", None)
+    backend.flush()
     blocker = sqlite3.connect(path, timeout=10)
     try:
         blocker.execute("BEGIN IMMEDIATE")  # hold the write lock
+        backend.put("while-locked", "v", None)  # buffered: no lock needed
         with pytest.raises(CacheUnavailable, match="locked"):
-            backend.put("while-locked", "v", None)
+            backend.flush()
     finally:
         blocker.rollback()
         blocker.close()
+    assert path.exists() and not path.with_name(path.name + ".corrupt").exists()
     # The lock is gone; the same backend instance keeps working.
     backend.put("after", "v2", None)
-    assert backend.get("after") == ("v2", None)
-    assert backend.get("before") == ("v", None)
+    backend.flush()
+    sibling = SQLiteBackend(path)
+    assert sibling.get("after") == ("v2", None)
+    assert sibling.get("before") == ("v", None)
+    assert sibling.get("while-locked") is None
+    sibling.close()
     backend.close()
 
 
 def test_sqlite_busy_lock_released_in_time_is_retried(tmp_path):
     path = tmp_path / "retry.sqlite"
     backend = SQLiteBackend(path, busy_timeout_s=2.0, busy_retries=3)
+    backend.put("contended", "v", None)  # buffered; the flush meets the lock
     blocker = sqlite3.connect(path, timeout=10, check_same_thread=False)
     blocker.execute("BEGIN IMMEDIATE")
     release = threading.Timer(0.15, lambda: (blocker.rollback(), blocker.close()))
     release.start()
     try:
-        backend.put("contended", "v", None)  # waits out the lock, then lands
+        backend.flush()  # waits out the lock, then lands
     finally:
         release.join()
-    assert backend.get("contended") == ("v", None)
+    sibling = SQLiteBackend(path)
+    assert sibling.get("contended") == ("v", None)
+    sibling.close()
+    backend.close()
+
+
+def test_sqlite_open_meeting_a_lock_is_retried(tmp_path):
+    """A lock held while a new store opens is retried, not fatal: two
+    replicas commonly open (and switch to WAL) one fresh file together."""
+    path = tmp_path / "opening.sqlite"
+    blocker = sqlite3.connect(path, timeout=10, check_same_thread=False)
+    blocker.execute("BEGIN EXCLUSIVE")  # rollback-journal file, fully locked
+    release = threading.Timer(0.2, lambda: (blocker.rollback(), blocker.close()))
+    release.start()
+    try:
+        backend = SQLiteBackend(path, busy_timeout_s=0.05, busy_retries=4)
+    finally:
+        release.join()
+    backend.put("k", "v", None)
+    assert backend.get("k") == ("v", None)
     backend.close()
 
 

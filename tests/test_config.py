@@ -192,3 +192,22 @@ class TestCoreType:
         legacy = config_to_jsonable(initial_config)
         del legacy["core_type"]
         assert config_from_jsonable(legacy) == initial_config
+
+
+class TestReplace:
+    def test_matches_dataclasses_replace(self, initial_config):
+        import dataclasses
+
+        changes = {"width": 4, "rob_size": 256, "core_type": "inorder"}
+        assert initial_config.replace(**changes) == dataclasses.replace(
+            initial_config, **changes
+        )
+
+    def test_l2_smaller_than_l1_still_rejected(self, initial_config):
+        big_l1 = CacheGeometry(nsets=32768, assoc=8, block_bytes=128, latency_cycles=4)
+        with pytest.raises(ConfigurationError, match="smaller than L1"):
+            initial_config.replace(l1=big_l1)
+
+    def test_unknown_field_rejected(self, initial_config):
+        with pytest.raises(TypeError):
+            initial_config.replace(not_a_field=1)

@@ -148,3 +148,112 @@ class TestRefit:
         refitted = refit_config(config, tech, model, space)
         validate_config(refitted, tech, model)
         assert refitted.clock_period_ns == pytest.approx(clock)
+
+
+# ----------------------------------------------------------------------
+# reference equivalence: the delay tables answer like the brute-force scan
+# ----------------------------------------------------------------------
+
+
+def _reference_max_iq(model, tech, clock, stages, width, space):
+    budget = tech.budget(clock, stages)
+    return max_fitting(space.iq_sizes, lambda s: issue_queue_ns(model, s, width), budget)
+
+
+def _reference_max_rob(model, tech, clock, stages, width, space):
+    budget = tech.budget(clock, stages)
+    return max_fitting(space.rob_sizes, lambda s: regfile_ns(model, s, width), budget)
+
+
+def _reference_max_lsq(model, tech, clock, stages, space):
+    from repro.tech import lsq_ns
+
+    budget = tech.budget(clock, stages)
+    return max_fitting(space.lsq_sizes, lambda s: lsq_ns(model, s), budget)
+
+
+def _reference_fitting(model, tech, clock, cycles, space, level):
+    from repro.tech import l1_cache_ns, l2_cache_ns
+
+    budget = tech.budget(clock, cycles)
+    if level == 1:
+        candidates, delay = space.l1_geometries(), l1_cache_ns
+    else:
+        candidates, delay = space.l2_geometries(), l2_cache_ns
+    return [g for g in candidates if fits(delay(model, *g), budget)]
+
+
+_ODD_SPACE = DesignSpace(
+    widths=(1, 2, 4, 6),
+    rob_sizes=(24, 48, 96, 192, 384),
+    iq_sizes=(8, 12, 24, 40, 72),
+    lsq_sizes=(16, 48, 80),
+    l1_nsets=(32, 128, 512, 2048),
+    l1_assocs=(1, 3, 4),
+    l1_blocks=(8, 32, 64),
+    l2_nsets=(64, 256, 1024, 4096),
+    l2_assocs=(2, 6, 8),
+    l2_blocks=(64, 128),
+    l1_capacity_range=(2048, 256 * 1024),
+    l2_capacity_range=(64 * 1024, 4 * 1024 * 1024),
+    max_wakeup_latency=2,
+    max_scheduler_depth=4,
+    max_lsq_depth=3,
+    max_l1_cycles=5,
+    max_l2_cycles=20,
+)
+
+
+def _clock_grid(tech, model, space):
+    """An even clock grid plus clocks whose budget lands exactly on a
+    unit delay (the ``fits`` slack boundary)."""
+    from repro.tech import l1_cache_ns, lsq_ns
+
+    clocks = [float(c) for c in np.linspace(tech.min_clock_ns, tech.max_clock_ns, 13)]
+    for stages in (1, 2, 3):
+        for delay in (
+            issue_queue_ns(model, space.iq_sizes[1], space.widths[1]),
+            regfile_ns(model, space.rob_sizes[2], space.widths[-1]),
+            lsq_ns(model, space.lsq_sizes[-1]),
+            l1_cache_ns(model, *space.l1_geometries()[3]),
+        ):
+            clocks.append(delay / stages + tech.latch_latency_ns)
+    return clocks
+
+
+@pytest.mark.parametrize("space", [DesignSpace(), _ODD_SPACE], ids=["default", "odd"])
+class TestTablesMatchBruteForce:
+    def test_scalar_sizers(self, space, tech):
+        model = CactiModel(tech)
+        reference = CactiModel(tech)
+        for clock in _clock_grid(tech, reference, space):
+            for stages in range(1, 5):
+                assert max_lsq_size(model, tech, clock, stages, space) == (
+                    _reference_max_lsq(reference, tech, clock, stages, space)
+                )
+                for width in space.widths:
+                    assert max_iq_size(model, tech, clock, stages, width, space) == (
+                        _reference_max_iq(reference, tech, clock, stages, width, space)
+                    )
+                    assert max_rob_size(model, tech, clock, stages, width, space) == (
+                        _reference_max_rob(reference, tech, clock, stages, width, space)
+                    )
+
+    def test_cache_geometries(self, space, tech):
+        model = CactiModel(tech)
+        reference = CactiModel(tech)
+        clocks = _clock_grid(tech, reference, space)
+        for level, cap in ((1, space.max_l1_cycles), (2, space.max_l2_cycles)):
+            for clock in clocks:
+                for cycles in range(1, cap + 1):
+                    fast = fitting_cache_geometries(model, tech, clock, cycles, space, level)
+                    assert type(fast) is list
+                    assert fast == _reference_fitting(
+                        reference, tech, clock, cycles, space, level
+                    )
+
+    def test_tables_are_built_on_first_use(self, space, tech):
+        model = CactiModel(tech)
+        assert model.fit_tables == {}
+        max_iq_size(model, tech, 0.33, 2, space.widths[0], space)
+        assert len(model.fit_tables) == 1

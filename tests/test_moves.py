@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import TimingError
 from repro.explore import MoveGenerator
+from repro.explore.moves import _MOVE_CDF, _MOVE_WEIGHTS, pick, weighted_index
 from repro.uarch import DesignSpace, initial_configuration, validate_config
 
 
@@ -118,15 +119,18 @@ class TestPropose:
 
 class _ForcedMoveRng:
     """Minimal rng stub: always selects move index ``move`` in propose
-    and answers the move's own draws with the first choice offered."""
+    and answers the move's own draws with the first choice offered.
+
+    ``propose`` picks its move with one ``random()`` draw located in the
+    move cdf, so the stub answers with the midpoint of the move's cdf
+    interval; uniform picks (``integers``) take the lowest index."""
 
     def __init__(self, move: int):
         self._move = move
 
-    def choice(self, options, p=None):
-        if isinstance(options, (int, np.integer)):  # propose's move pick
-            return self._move
-        return options[-1]
+    def random(self):
+        lo = _MOVE_CDF[self._move - 1] if self._move else 0.0
+        return (lo + _MOVE_CDF[self._move]) / 2
 
     def uniform(self, lo, hi):
         return hi
@@ -162,8 +166,9 @@ class TestUntenableSpaces:
         search skips the proposal) instead of retrying internally."""
         space = DesignSpace(widths=(initial_config.width,))
         moves = MoveGenerator(tech, model, space)
+        assert weighted_index(_ForcedMoveRng(move=2), _MOVE_CDF) == 2  # width_move
         with pytest.raises(TimingError):
-            moves.propose(initial_config, _ForcedMoveRng(move=2))  # width_move
+            moves.propose(initial_config, _ForcedMoveRng(move=2))
 
     def test_search_survives_untenable_space(self, tech, model, initial_config):
         """A search over a space with no tenable width neighbour keeps
@@ -184,3 +189,38 @@ class TestUntenableSpaces:
         result = annealer.run(initial_config, seed=0)
         assert result.evaluations == 1
         assert result.best_state == initial_config
+
+
+class TestStreamIdenticalDraws:
+    """The move draws consume the RNG exactly as ``Generator.choice``.
+
+    Walks, annealer goldens and cache keys depend on it; a numpy release
+    that changes ``choice`` fails here rather than shifting goldens."""
+
+    SEEDS = range(256)
+
+    def test_weighted_index_matches_choice_with_p(self):
+        p = np.array(_MOVE_WEIGHTS)
+        for seed in self.SEEDS:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(8):
+                assert weighted_index(ours, _MOVE_CDF) == int(theirs.choice(len(p), p=p))
+            assert ours.random() == theirs.random()  # streams still aligned
+
+    def test_pick_matches_choice_of_sequence(self):
+        options = [
+            ("iq", "scheduler", "lsq", "l1", "l2"),
+            ("rob", "iq", "lsq"),
+            (-1, 1),
+            (1, 2),
+            [32],
+            [16, 32, 64, 128],
+            [32, 64, 128, 256, 512, 1024],
+        ]
+        for seed in self.SEEDS:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for seq in options:
+                drawn = pick(ours, seq)
+                assert type(drawn) is type(seq[0])
+                assert drawn == theirs.choice(seq)
+            assert ours.random() == theirs.random()

@@ -298,3 +298,43 @@ def test_pareto_job_runs_and_matches_direct_front(live):
                 and a != b
             )
             assert not dominated, f"point {i} dominated by {j}"
+
+
+def test_job_rows_are_committed_before_it_reports_completed(tmp_path):
+    """The SQLite backend buffers rows; the service must write a job's
+    rows before publishing it as completed, because a client told
+    "completed" may next query a sibling replica of the same store.
+
+    Handing the engine back is slowed down so a flush left to that step
+    would be observed as missing rows."""
+    import time
+
+    from repro.engine.cache_backends import SQLiteBackend
+
+    path = tmp_path / "shared.sqlite"
+    service = ExplorationService(jobs=1, cache_backend=f"sqlite:{path}", serve_dir=tmp_path)
+    return_engine = service._return_engine
+
+    def slow_return(engine):
+        time.sleep(0.5)
+        return_engine(engine)
+
+    service._return_engine = slow_return
+    with ServiceThread(service) as thread:
+        client = ServeClient(thread.base_url)
+        job_id = client.submit(dict(SMALL_JOB))["id"]
+        deadline = time.monotonic() + 60
+        while True:
+            record = client.status(job_id)
+            if record["state"] not in ("queued", "running"):
+                break
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        assert record["state"] == "completed"
+        stored = record["stats"]["cache"]["stores"]
+        assert 0 < stored < 256  # fewer than one group: only a flush writes them
+        sibling = SQLiteBackend(path)
+        try:
+            assert len(sibling) == stored
+        finally:
+            sibling.close()
