@@ -76,7 +76,6 @@ from .engine import (
     RunInterrupted,
     RunJournal,
     ShutdownCoordinator,
-    TelemetryCollector,
     digest,
     list_runs,
 )
@@ -770,7 +769,7 @@ def _build_engine(args) -> EvaluationEngine:
 
 
 def _attach_telemetry(args, engine: EvaluationEngine) -> None:
-    """Hook the journal, metrics collector and TTY heartbeat to the bus.
+    """Hook the journal, ``--metrics-out`` and TTY heartbeat to the engine.
 
     All three are strictly passive subscribers: they never touch stdout
     (the golden/determinism suites diff stdout) and never change what
@@ -784,9 +783,9 @@ def _attach_telemetry(args, engine: EvaluationEngine) -> None:
     if journal_path is not None:
         args._journal = RunJournal(journal_path).attach(engine.events)
     if getattr(args, "metrics_out", None) is not None:
-        args._collector = TelemetryCollector(engine.events)
+        args._metrics = engine.metrics
     if not getattr(args, "no_progress", False):
-        heartbeat = ProgressLine(engine.events)
+        heartbeat = ProgressLine(engine.metrics)
         if heartbeat.active:
             args._heartbeat = heartbeat
         else:
@@ -802,9 +801,9 @@ def _finish(args, engine: EvaluationEngine | None) -> int:
         if getattr(args, "stats", False):
             print(f"--- engine stats ---\n{engine.metrics.summary()}")
         engine.close()
-    collector = getattr(args, "_collector", None)
-    if collector is not None:
-        collector.registry.write(pathlib.Path(args.metrics_out))
+    metrics = getattr(args, "_metrics", None)
+    if metrics is not None:
+        metrics.registry.write(pathlib.Path(args.metrics_out))
     journal = getattr(args, "_journal", None)
     if journal is not None:
         journal.close()
@@ -1335,7 +1334,7 @@ def cmd_trace(args) -> int:
         print(trace_analysis.render_slowest(tasks))
         return 0
     if args.trace_command == "critical-path":
-        path = trace_analysis.critical_path(events)
+        path = trace_analysis.critical_path(trace_analysis.build_span_tree(events))
         print(trace_analysis.render_critical_path(path))
         return 0
     # export
@@ -1398,17 +1397,18 @@ def _cmd_trace_fleet(args) -> int:
                 "tree": [_span_jsonable(root) for root in roots],
                 "critical_path": [
                     _span_jsonable(node, recurse=False)
-                    for node in fleet_mod.fleet_critical_path(roots)
+                    for node in trace_analysis.critical_path(roots)
                 ],
             },
             indent=2,
         ))
         return 0
     print(fleet_mod.render_fleet_tree(roots))
-    print()
-    print(fleet_mod.render_fleet_critical_path(
-        fleet_mod.fleet_critical_path(roots)
-    ))
+    if roots:
+        print()
+        print(trace_analysis.render_critical_path(
+            trace_analysis.critical_path(roots), title="fleet critical path"
+        ))
     return 0
 
 

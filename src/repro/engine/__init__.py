@@ -94,7 +94,6 @@ from .telemetry import (
     MetricsRegistry,
     ProgressLine,
     RunJournal,
-    TelemetryCollector,
     TraceContext,
     activate_trace,
     current_trace,
@@ -178,7 +177,6 @@ __all__ = [
     "MetricsRegistry",
     "ProgressLine",
     "RunJournal",
-    "TelemetryCollector",
     "TraceContext",
     "activate_trace",
     "current_trace",

@@ -20,25 +20,23 @@ identifiers, so a subscriber (the journal) can reconstruct the nesting
 tree of a whole run — including per-task spans stitched in from worker
 processes by the pool (see :mod:`repro.engine.telemetry`).
 
-:class:`EngineMetrics` is the standard subscriber: it aggregates the
-counters every caller wants (evaluations, hit rate, per-phase wall time)
-and renders a one-line summary for the CLI.
+:class:`EngineMetrics` is the standard subscriber and the engine's only
+fold from events to counters: it keeps evaluations, hit rate, per-phase
+wall time and the rest in a :class:`~repro.engine.telemetry.MetricsRegistry`
+that ``--stats``, ``--metrics-out``, ``repro trace summary`` and the TTY
+heartbeat all read.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from .telemetry import MetricsRegistry, mint_trace_id
+
 Callback = Callable[[str, dict], Any]
-
-
-def new_trace_id() -> str:
-    """A fresh trace identifier (unique per process + instant)."""
-    return f"{os.getpid():05d}-{time.time_ns() & 0xFFFFFFFFFF:010x}"
 
 
 class EventBus:
@@ -57,7 +55,7 @@ class EventBus:
     def __init__(self) -> None:
         self._subscribers: list[Callback] = []
         self._warned: set[int] = set()
-        self.trace_id = new_trace_id()
+        self.trace_id = mint_trace_id()
         self.tracing = False
         self._span_stack: list[str] = []
         self._span_count = 0
@@ -163,78 +161,202 @@ class EventBus:
         )
 
 
-class EngineMetrics:
-    """Aggregated counters over one bus: the engine's odometer.
+#: ``(attribute, series, help)`` of every plain counter, in export order.
+_COUNTERS = (
+    ("evaluations", "repro_evaluations_total", "Fresh simulator invocations"),
+    ("cache_hits", "repro_cache_hits_total", "Result-cache lookups served from cache"),
+    ("cache_misses", "repro_cache_misses_total", "Result-cache lookups that simulated"),
+    ("batches", "repro_batches_total", "evaluate_many batch dispatches"),
+    ("retries", "repro_retries_total", "Evaluation retries"),
+    (
+        "timeouts",
+        "repro_task_timeouts_total",
+        "Tasks that overran the per-task deadline",
+    ),
+    ("pool_restarts", "repro_pool_restarts_total", "Worker-pool rebuilds"),
+    ("searches", "repro_search_runs_total", "Design-space searches completed"),
+    ("checkpoints", "repro_checkpoints_total", "Checkpoint saves"),
+    ("fallbacks", "repro_fallbacks_total", "Serial fallbacks after the pool broke"),
+    ("quarantines", "repro_quarantines_total", "Corrupt stored entries set aside"),
+    (
+        "storage_degradations",
+        "repro_storage_degradations_total",
+        "Storage tiers that went memory-only",
+    ),
+    ("lock_takeovers", "repro_lock_takeovers_total", "Stale run locks taken over"),
+    (
+        "search_evaluations",
+        "repro_search_evaluations_total",
+        "Evaluations requested by searches",
+    ),
+)
 
-    ``evaluations`` counts *actual simulator invocations* (cache hits do
-    not simulate, so they are excluded — this is the counter the
-    redundancy tests assert on).  ``phase_seconds`` accumulates wall time
-    per named phase.
+
+class _Reading:
+    """Read-only attribute view of one registry series' value.
+
+    ``evaluations = _Reading()`` on :class:`EngineMetrics` reads
+    ``self._evaluations.value``; the registry stays the only store.
     """
 
-    def __init__(self, bus: EventBus | None = None) -> None:
-        self.evaluations = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.batches = 0
-        self.fallbacks = 0
-        self.checkpoints = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.pool_restarts = 0
-        self.quarantines = 0
-        self.storage_degradations = 0
-        self.lock_takeovers = 0
-        self.searches = 0
-        self.search_evaluations = 0
-        self.search_plateau_max = 0
-        self._acceptance_sum = 0.0
-        self.searches_by_strategy: dict[str, int] = {}
-        self.phase_seconds: dict[str, float] = {}
-        if bus is not None:
-            bus.subscribe(self._on_event)
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._series = "_" + name
 
-    def _on_event(self, event: str, payload: dict) -> None:
+    def __get__(self, metrics: Any, owner: type | None = None) -> Any:
+        if metrics is None:
+            return self
+        return getattr(metrics, self._series).value
+
+
+class EngineMetrics:
+    """The engine's odometer: the one fold from bus events to metrics.
+
+    Every counter and histogram lives in :attr:`registry`, so the
+    ``--stats`` summary, the ``--metrics-out`` file, the journal replay
+    of ``repro trace summary`` and the TTY heartbeat agree by
+    construction.  ``evaluations`` counts *actual simulator invocations*
+    (cache hits do not simulate, so they are excluded — this is the
+    counter the redundancy tests assert on).  ``phase_seconds``
+    accumulates wall time per named phase.
+    """
+
+    evaluations = _Reading()
+    cache_hits = _Reading()
+    cache_misses = _Reading()
+    batches = _Reading()
+    fallbacks = _Reading()
+    checkpoints = _Reading()
+    retries = _Reading()
+    timeouts = _Reading()
+    pool_restarts = _Reading()
+    quarantines = _Reading()
+    storage_degradations = _Reading()
+    lock_takeovers = _Reading()
+    searches = _Reading()
+    search_evaluations = _Reading()
+    search_plateau_max = _Reading()
+
+    def __init__(self, bus: EventBus | None = None) -> None:
+        self.bus = bus
+        self.registry = r = MetricsRegistry()
+        for attr, series, help in _COUNTERS:  # self._evaluations, ...
+            setattr(self, "_" + attr, r.counter(series, help))
+        self._search_plateau_max = r.gauge(
+            "repro_search_plateau_max", "Longest plateau of any search"
+        )
+        self._batch_size = r.histogram(
+            "repro_batch_size",
+            "Pairs requested per evaluate_many batch",
+            buckets=[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096],
+        )
+        self._task_seconds = r.histogram(
+            "repro_task_seconds",
+            "Wall time of one pooled map task, measured in its worker",
+        )
+        self._queue_wait = r.histogram(
+            "repro_queue_wait_seconds",
+            "Delay between map submission and task start in a worker",
+        )
+        self._phase_hist = r.histogram(
+            "repro_phase_seconds", "Wall time per completed phase"
+        )
+        self._search_seconds = r.histogram(
+            "repro_search_seconds", "Wall time per design-space search"
+        )
+        self._move_latency = r.histogram(
+            "repro_search_move_latency_seconds",
+            "Mean per-move latency of timed searches",
+        )
+        self._acceptance = r.histogram(
+            "repro_search_acceptance_rate",
+            "Acceptance rate per search",
+            buckets=[i / 10 for i in range(1, 11)],
+        )
+        if bus is not None:
+            bus.subscribe(self.on_event)
+
+    def on_event(self, event: str, payload: dict) -> None:
+        """Fold one event (a bus delivery or a replayed journal record)."""
         if event == "evaluation":
-            self.evaluations += payload.get("count", 1)
+            self._evaluations.inc(payload.get("count", 1))
         elif event == "cache_hit":
-            self.cache_hits += payload.get("count", 1)
+            self._cache_hits.inc(payload.get("count", 1))
         elif event == "cache_miss":
-            self.cache_misses += payload.get("count", 1)
+            self._cache_misses.inc(payload.get("count", 1))
         elif event == "batch":
-            self.batches += 1
+            self._batches.inc()
+            self._batch_size.observe(payload.get("size", 0))
         elif event == "fallback":
-            self.fallbacks += 1
+            self._fallbacks.inc()
         elif event == "checkpoint":
-            self.checkpoints += 1
+            self._checkpoints.inc()
         elif event == "retry":
-            self.retries += 1
+            self._retries.inc()
         elif event == "task_timeout":
-            self.timeouts += 1
+            self._timeouts.inc()
         elif event == "pool_restart":
-            self.pool_restarts += 1
+            self._pool_restarts.inc()
         elif event == "quarantine":
-            self.quarantines += 1
+            self._quarantines.inc()
         elif event == "storage_degraded":
-            self.storage_degradations += 1
+            self._storage_degradations.inc()
         elif event == "lock_takeover":
-            self.lock_takeovers += 1
+            self._lock_takeovers.inc()
+        elif event == "task_span":
+            seconds = payload.get("seconds")
+            if seconds is not None:
+                self._task_seconds.observe(seconds)
+            wait = payload.get("queue_wait_s")
+            if wait is not None:
+                self._queue_wait.observe(max(float(wait), 0.0))
         elif event == "search_run":
-            self.searches += 1
-            self.search_evaluations += payload.get("evaluations", 0)
-            self.search_plateau_max = max(
-                self.search_plateau_max, payload.get("plateau", 0)
+            self._searches.inc()
+            self._search_evaluations.inc(payload.get("evaluations", 0))
+            self._search_plateau_max.set(
+                max(self._search_plateau_max.value, payload.get("plateau", 0))
             )
-            self._acceptance_sum += payload.get("acceptance_rate", 0.0)
-            strategy = payload.get("strategy", "?")
-            self.searches_by_strategy[strategy] = (
-                self.searches_by_strategy.get(strategy, 0) + 1
-            )
+            self._acceptance.observe(payload.get("acceptance_rate", 0.0))
+            self.registry.counter(
+                "repro_strategy_runs_total",
+                "Design-space searches completed, per strategy",
+                labels={"strategy": payload.get("strategy", "?")},
+            ).inc()
+            self._observe_search_time(payload)
+        elif event == "strategy_timing":
+            self._observe_search_time(payload)
         elif event == "phase_end":
-            name = payload.get("name", "?")
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0) + payload.get("seconds", 0.0)
-            )
+            seconds = payload.get("seconds", 0.0)
+            self._phase_hist.observe(seconds)
+            self.registry.counter(
+                "repro_phase_wall_seconds_total",
+                "Wall time per named phase",
+                labels={"phase": payload.get("name", "?")},
+            ).inc(seconds)
+
+    def _observe_search_time(self, payload: dict) -> None:
+        seconds = payload.get("seconds")
+        if seconds is not None:
+            self._search_seconds.observe(seconds)
+            moves = max(int(payload.get("moves", 0) or 0), 1)
+            self._move_latency.observe(seconds / moves)
+
+    def _labelled(self, name: str, label: str) -> dict[str, Any]:
+        """``{label value: value}`` of one labelled family, in first-seen order."""
+        return {
+            metric.labels[label]: metric.value
+            for metric in self.registry
+            if metric.name == name
+        }
+
+    @property
+    def searches_by_strategy(self) -> dict[str, int]:
+        """Completed searches per strategy name."""
+        return self._labelled("repro_strategy_runs_total", "strategy")
+
+    @property
+    def phase_seconds(self) -> dict[str, float]:
+        """Accumulated wall time per named phase."""
+        return self._labelled("repro_phase_wall_seconds_total", "phase")
 
     @property
     def lookups(self) -> int:
@@ -250,7 +372,7 @@ class EngineMetrics:
     @property
     def mean_acceptance_rate(self) -> float:
         """Mean per-search acceptance rate (0 when no searches ran)."""
-        return self._acceptance_sum / self.searches if self.searches else 0.0
+        return self._acceptance.sum / self.searches if self.searches else 0.0
 
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time copy of every counter (for before/after deltas)."""
@@ -271,8 +393,8 @@ class EngineMetrics:
             "search_evaluations": self.search_evaluations,
             "search_plateau_max": self.search_plateau_max,
             "mean_acceptance_rate": self.mean_acceptance_rate,
-            "searches_by_strategy": dict(self.searches_by_strategy),
-            "phase_seconds": dict(self.phase_seconds),
+            "searches_by_strategy": self.searches_by_strategy,
+            "phase_seconds": self.phase_seconds,
         }
 
     def summary(self) -> str:

@@ -16,14 +16,12 @@ finished (or crashed):
 * :class:`MetricsRegistry` / :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — a minimal metrics surface with log-scale
   histogram buckets, exportable as JSON or Prometheus textfile format
-  (the ``--metrics-out`` flag).
-* :class:`TelemetryCollector` — the standard registry wiring over one
-  bus: evaluation counts, cache hit/miss, batch sizes, pooled map-task
-  wall time and queue wait (from the pool's ``task_span`` events), phase
-  durations, retries, search timings.
+  (the ``--metrics-out`` flag).  The engine's one fold from bus events
+  to these series is :class:`~repro.engine.events.EngineMetrics`.
 * :class:`ProgressLine` — a lightweight single-line TTY heartbeat
-  (``\\r``-rewritten, rate-limited) so interactive runs show progress
-  without scrolling; inert on non-TTY streams.
+  (``\\r``-rewritten, rate-limited) over an engine's metrics, so
+  interactive runs show progress without scrolling; inert on non-TTY
+  streams.
 
 Analysis of a written journal lives in :mod:`repro.engine.trace` (the
 ``repro trace`` CLI).  Telemetry is strictly passive: attaching or
@@ -44,10 +42,12 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
 
-from .events import EventBus
 from .io_atomic import is_storage_error, write_text_atomic
+
+if TYPE_CHECKING:  # events imports this module at runtime
+    from .events import EngineMetrics, EventBus
 
 #: Journal file name inside a run directory.
 JOURNAL_FILE = "events.jsonl"
@@ -763,118 +763,6 @@ def render_prometheus_snapshot(snapshot: dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# the standard collector: bus events -> metrics
-# ----------------------------------------------------------------------
-
-
-class TelemetryCollector:
-    """Populate a :class:`MetricsRegistry` from one bus's event stream.
-
-    The counter set mirrors :class:`~repro.engine.events.EngineMetrics`
-    (which stays the ``--stats`` renderer); the histograms are what the
-    odometer cannot express — evaluation latency, queue wait, batch
-    size, phase duration, search move latency.
-    """
-
-    def __init__(
-        self, bus: EventBus | None = None, registry: MetricsRegistry | None = None
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        r = self.registry
-        self._evaluations = r.counter(
-            "repro_evaluations_total", "Fresh simulator invocations"
-        )
-        self._cache_hits = r.counter(
-            "repro_cache_hits_total", "Result-cache lookups served from cache"
-        )
-        self._cache_misses = r.counter(
-            "repro_cache_misses_total", "Result-cache lookups that simulated"
-        )
-        self._batches = r.counter(
-            "repro_batches_total", "evaluate_many batch dispatches"
-        )
-        self._retries = r.counter("repro_retries_total", "Evaluation retries")
-        self._timeouts = r.counter(
-            "repro_task_timeouts_total", "Tasks that overran the per-task deadline"
-        )
-        self._pool_restarts = r.counter(
-            "repro_pool_restarts_total", "Worker-pool rebuilds"
-        )
-        self._searches = r.counter(
-            "repro_search_runs_total", "Design-space searches completed"
-        )
-        self._checkpoints = r.counter(
-            "repro_checkpoints_total", "Checkpoint saves"
-        )
-        self._batch_size = r.histogram(
-            "repro_batch_size",
-            "Pairs requested per evaluate_many batch",
-            buckets=[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096],
-        )
-        self._task_seconds = r.histogram(
-            "repro_task_seconds",
-            "Wall time of one pooled map task, measured in its worker",
-        )
-        self._queue_wait = r.histogram(
-            "repro_queue_wait_seconds",
-            "Delay between map submission and task start in a worker",
-        )
-        self._phase_seconds = r.histogram(
-            "repro_phase_seconds", "Wall time per completed phase"
-        )
-        self._search_seconds = r.histogram(
-            "repro_search_seconds", "Wall time per design-space search"
-        )
-        self._move_latency = r.histogram(
-            "repro_search_move_latency_seconds",
-            "Mean per-move latency of timed searches",
-        )
-        if bus is not None:
-            bus.subscribe(self.on_event)
-
-    def on_event(self, event: str, payload: dict) -> None:
-        if event == "evaluation":
-            self._evaluations.inc(payload.get("count", 1))
-        elif event == "cache_hit":
-            self._cache_hits.inc(payload.get("count", 1))
-        elif event == "cache_miss":
-            self._cache_misses.inc(payload.get("count", 1))
-        elif event == "batch":
-            self._batches.inc()
-            self._batch_size.observe(payload.get("size", 0))
-        elif event == "retry":
-            self._retries.inc()
-        elif event == "task_timeout":
-            self._timeouts.inc()
-        elif event == "pool_restart":
-            self._pool_restarts.inc()
-        elif event == "checkpoint":
-            self._checkpoints.inc()
-        elif event == "phase_end":
-            self._phase_seconds.observe(payload.get("seconds", 0.0))
-        elif event == "task_span":
-            seconds = payload.get("seconds")
-            if seconds is not None:
-                self._task_seconds.observe(seconds)
-            wait = payload.get("queue_wait_s")
-            if wait is not None:
-                self._queue_wait.observe(max(float(wait), 0.0))
-        elif event == "search_run":
-            self._searches.inc()
-            seconds = payload.get("seconds")
-            if seconds is not None:
-                self._search_seconds.observe(seconds)
-                moves = max(int(payload.get("moves", 0) or 0), 1)
-                self._move_latency.observe(seconds / moves)
-        elif event == "strategy_timing":
-            seconds = payload.get("seconds")
-            if seconds is not None:
-                self._search_seconds.observe(seconds)
-                moves = max(int(payload.get("moves", 0) or 0), 1)
-                self._move_latency.observe(seconds / moves)
-
-
-# ----------------------------------------------------------------------
 # TTY heartbeat
 # ----------------------------------------------------------------------
 
@@ -882,16 +770,17 @@ class TelemetryCollector:
 class ProgressLine:
     """A rate-limited, single-line progress heartbeat for TTYs.
 
-    Subscribes to a bus and rewrites one ``\\r``-terminated stderr line
-    (current phase, evaluation count, cache hit rate, elapsed time) at
-    most every ``interval`` seconds.  On a non-TTY stream every update
-    is suppressed, so batch logs and tests never see it.  Call
+    Subscribes to the bus of an engine's :class:`EngineMetrics` and, on
+    its events, rewrites one ``\\r``-terminated stderr line (current
+    phase, and the metrics' evaluation count and cache hit rate, elapsed
+    time) at most every ``interval`` seconds.  On a non-TTY stream every
+    update is suppressed, so batch logs and tests never see it.  Call
     :meth:`close` to clear the line before normal output resumes.
     """
 
     def __init__(
         self,
-        bus: EventBus,
+        metrics: EngineMetrics,
         stream: TextIO | None = None,
         interval: float = 0.5,
     ) -> None:
@@ -900,13 +789,11 @@ class ProgressLine:
         self._started = time.monotonic()
         self._last_write = 0.0
         self._phase = ""
-        self._evaluations = 0
-        self._hits = 0
-        self._lookups = 0
         self._dirty = False
         self._width = 0
-        self._bus = bus
-        bus.subscribe(self._on_event)
+        self._metrics = metrics
+        self._bus = metrics.bus
+        self._bus.subscribe(self._on_event)
 
     def _enabled(self) -> bool:
         try:
@@ -922,14 +809,6 @@ class ProgressLine:
     def _on_event(self, event: str, payload: dict) -> None:
         if event == "phase_start":
             self._phase = payload.get("name", "")
-        elif event == "evaluation":
-            self._evaluations += payload.get("count", 1)
-        elif event == "cache_hit":
-            count = payload.get("count", 1)
-            self._hits += count
-            self._lookups += count
-        elif event == "cache_miss":
-            self._lookups += count if (count := payload.get("count", 1)) else 0
         self._maybe_render()
 
     def _maybe_render(self) -> None:
@@ -940,9 +819,10 @@ class ProgressLine:
             return
         self._last_write = now
         elapsed = now - self._started
-        rate = f"{self._hits / self._lookups * 100:.0f}%" if self._lookups else "-"
+        metrics = self._metrics
+        rate = f"{metrics.hit_rate * 100:.0f}%" if metrics.lookups else "-"
         line = (
-            f"[{self._phase or 'run'}] evals {self._evaluations} | "
+            f"[{self._phase or 'run'}] evals {metrics.evaluations} | "
             f"cache {rate} | {elapsed:.0f}s"
         )
         pad = max(self._width - len(line), 0)

@@ -12,7 +12,7 @@ side, backing the ``repro trace`` CLI:
 * :func:`slowest_tasks` — the top-N slowest evaluations/tasks by
   worker-measured latency;
 * :func:`critical_path` — the chain of nested spans that dominated the
-  run's wall clock;
+  run's wall clock, over one journal's span tree or a stitched fleet's;
 * :func:`chrome_trace` — export to Chrome/Perfetto trace-event JSON
   (load in ``chrome://tracing`` or https://ui.perfetto.dev).
 
@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from ..errors import ReproError
+from .events import EngineMetrics
 from .telemetry import JOURNAL_FILE, journal_files
 
 
@@ -134,7 +135,14 @@ class SearchTrace:
 
 @dataclass
 class TraceSummary:
-    """Everything ``repro trace summary`` prints, structured."""
+    """Everything ``repro trace summary`` prints, structured.
+
+    Counters and phase times come from ``metrics``, the journal's records
+    replayed through the engine's own fold, so they are the numbers the
+    run's ``--stats`` and ``--metrics-out`` reported; the fields here are
+    what only a journal knows.  Attribute reads the summary does not
+    define (``evaluations``, ``phase_seconds``, ...) fall through to it.
+    """
 
     events: int = 0
     first_ts: float | None = None
@@ -143,21 +151,15 @@ class TraceSummary:
     seq_first: int | None = None
     seq_last: int | None = None
     monotonic: bool = True
-    evaluations: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    batches: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    pool_restarts: int = 0
-    checkpoints: int = 0
-    fallbacks: int = 0
-    task_spans: int = 0
-    task_seconds: float = 0.0
-    phase_seconds: dict[str, float] = field(default_factory=dict)
+    metrics: EngineMetrics = field(default_factory=EngineMetrics)
     searches: dict[str, SearchTrace] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     unknown_events: dict[str, int] = field(default_factory=dict)
+
+    def __getattr__(self, name: str) -> Any:
+        if name == "metrics":  # not yet set: avoid recursing
+            raise AttributeError(name)
+        return getattr(self.metrics, name)
 
     @property
     def wall_seconds(self) -> float:
@@ -166,9 +168,12 @@ class TraceSummary:
         return max(self.last_ts - self.first_ts, 0.0)
 
     @property
-    def hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+    def task_spans(self) -> int:
+        return self.metrics.registry.get("repro_task_seconds").count
+
+    @property
+    def task_seconds(self) -> float:
+        return self.metrics.registry.get("repro_task_seconds").sum
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -268,6 +273,9 @@ def _as_float(value: Any, default: float = 0.0) -> float:
 def summarize(events: Iterable[dict]) -> TraceSummary:
     """Fold an event stream into a :class:`TraceSummary` (single pass).
 
+    Each record is replayed through :meth:`EngineMetrics.on_event`, the
+    fold the live run used; this pass adds only sequence integrity,
+    attempts, event-kind tallies and the per-workload search table.
     Event kinds outside :data:`KNOWN_EVENTS` (journals written by newer
     or foreign layers) still count toward totals and timing but are
     tallied in ``unknown_events`` and surfaced as a warning, never
@@ -299,33 +307,11 @@ def summarize(events: Iterable[dict]) -> TraceSummary:
         if isinstance(trace, str):
             traces_seen.add(trace)
 
-        if name == "evaluation":
-            summary.evaluations += _as_int(record.get("count", 1), 1)
-        elif name == "cache_hit":
-            summary.cache_hits += _as_int(record.get("count", 1), 1)
-        elif name == "cache_miss":
-            summary.cache_misses += _as_int(record.get("count", 1), 1)
-        elif name == "batch":
-            summary.batches += 1
-        elif name == "retry":
-            summary.retries += 1
-        elif name == "task_timeout":
-            summary.timeouts += 1
-        elif name == "pool_restart":
-            summary.pool_restarts += 1
-        elif name == "checkpoint":
-            summary.checkpoints += 1
-        elif name == "fallback":
-            summary.fallbacks += 1
-        elif name == "phase_end":
-            phase = record.get("name", "?")
-            summary.phase_seconds[phase] = summary.phase_seconds.get(
-                phase, 0.0
-            ) + _as_float(record.get("seconds", 0.0))
-        elif name == "task_span":
-            summary.task_spans += 1
-            summary.task_seconds += _as_float(record.get("seconds", 0.0))
-        elif name == "search_run":
+        try:
+            summary.metrics.on_event(name, record)
+        except (TypeError, ValueError):
+            pass  # a malformed payload: its counters are skipped, not fatal
+        if name == "search_run":
             workload = record.get("workload", "?")
             entry = summary.searches.setdefault(workload, SearchTrace(workload))
             entry.runs += 1
@@ -462,28 +448,27 @@ def build_span_tree(events: Iterable[dict]) -> list[SpanNode]:
     return roots
 
 
-def critical_path(events: Iterable[dict]) -> list[SpanNode]:
+def critical_path(roots: list[SpanNode]) -> list[SpanNode]:
     """The root-to-leaf chain of spans with the largest wall time.
 
-    At each level the child with the most recorded seconds is followed —
+    Walks a span forest — :func:`build_span_tree` of one journal, or the
+    stitched fleet tree of :func:`repro.serve.fleet.fleet_span_tree` —
+    following at each level the child with the most recorded seconds:
     the answer to "which nesting of phases dominated this run".
     """
-    roots = build_span_tree(events)
-    if not roots:
-        return []
     path: list[SpanNode] = []
-    node = max(roots, key=lambda n: n.seconds)
+    node = max(roots, key=lambda n: n.seconds, default=None)
     while node is not None:
         path.append(node)
         node = max(node.children, key=lambda n: n.seconds, default=None)
     return path
 
 
-def render_critical_path(path: list[SpanNode]) -> str:
+def render_critical_path(path: list[SpanNode], title: str = "critical path") -> str:
     if not path:
         return "no spans in this journal"
     total = path[0].seconds
-    lines = [f"critical path ({total:.2f}s at the root):"]
+    lines = [f"{title} ({total:.2f}s at the root):"]
     for depth, node in enumerate(path):
         share = node.seconds / total * 100 if total > 0 else 0.0
         lines.append(

@@ -15,10 +15,8 @@ from .fleet import (
     collect_journal_files,
     compare_benches,
     fleet_chrome_trace,
-    fleet_critical_path,
     fleet_span_tree,
     load_slo,
-    render_fleet_critical_path,
     render_fleet_metrics,
     render_fleet_status,
     render_fleet_tree,
@@ -43,10 +41,8 @@ __all__ = [
     "collect_journal_files",
     "compare_benches",
     "fleet_chrome_trace",
-    "fleet_critical_path",
     "fleet_span_tree",
     "load_slo",
-    "render_fleet_critical_path",
     "render_fleet_metrics",
     "render_fleet_status",
     "render_fleet_tree",

@@ -16,8 +16,9 @@ module is the read side that makes the *fleet* legible:
 * **fleet span trees** — :func:`fleet_span_tree` groups stitched events
   by trace id and chains a job's incarnations (failover re-runs share
   the trace id) through explicit ``failover`` seam nodes, so
-  :func:`fleet_critical_path` walks *across* the seam; journalled store
-  calls (``cache_call``) attach under the job span that made them;
+  :func:`repro.engine.trace.critical_path` walks *across* the seam;
+  journalled store calls (``cache_call``) attach under the job span that
+  made them;
 * **fleet Chrome export** — :func:`fleet_chrome_trace` renders every
   journal as its own process lane (named after the replica) in one
   Chrome/Perfetto trace;
@@ -54,9 +55,7 @@ __all__ = [
     "collect_journal_files",
     "stitch_journals",
     "fleet_span_tree",
-    "fleet_critical_path",
     "render_fleet_tree",
-    "render_fleet_critical_path",
     "fleet_chrome_trace",
     "scrape_fleet",
     "aggregate_fleet",
@@ -352,8 +351,8 @@ def fleet_span_tree(
     A trace's incarnations (the same logical job run on successive
     replicas — failover re-runs share the trace id) chain through
     ``failover`` seam nodes whose weight is the whole downstream chain,
-    so the max-seconds walk of :func:`fleet_critical_path` crosses every
-    seam instead of stopping at the killed replica.  Journalled store
+    so the max-seconds walk of :func:`~repro.engine.trace.critical_path`
+    crosses every seam instead of stopping at the killed replica.  Journalled store
     calls (``cache_call`` with a ``parent_span_id`` naming a job span)
     attach under the incarnation that made them.
     """
@@ -436,32 +435,6 @@ def fleet_span_tree(
             previous = node
         roots.append(root)
     return roots
-
-
-def fleet_critical_path(roots: list[SpanNode]) -> list[SpanNode]:
-    """Root-to-leaf max-seconds walk over a fleet span forest."""
-    if not roots:
-        return []
-    path: list[SpanNode] = []
-    node: SpanNode | None = max(roots, key=lambda n: n.seconds)
-    while node is not None:
-        path.append(node)
-        node = max(node.children, key=lambda n: n.seconds, default=None)
-    return path
-
-
-def render_fleet_critical_path(path: list[SpanNode]) -> str:
-    if not path:
-        return "no spans in these journals"
-    total = path[0].seconds
-    lines = [f"fleet critical path ({total:.2f}s at the root):"]
-    for depth, node in enumerate(path):
-        share = node.seconds / total * 100 if total > 0 else 0.0
-        lines.append(
-            f"{'  ' * depth}{node.name} [{node.kind}] "
-            f"{node.seconds:.2f}s ({share:.0f}%)"
-        )
-    return "\n".join(lines)
 
 
 def render_fleet_tree(roots: list[SpanNode]) -> str:

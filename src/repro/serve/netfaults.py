@@ -486,7 +486,15 @@ class ChaosProxy:
         finally:
             with contextlib.suppress(Exception):
                 upstream.close()
-            if torn and fault == RESET:
+            # pump_request is still blocked in recv() on the client
+            # socket, and Linux holds a close until that recv returns:
+            # shut the socket down first so the cut leaves now, not at
+            # the client's read timeout.  A reset shuts only the read
+            # side, so no FIN goes out ahead of its RST.
+            reset = torn and fault == RESET
+            with contextlib.suppress(OSError):
+                client.shutdown(socket.SHUT_RD if reset else socket.SHUT_RDWR)
+            if reset:
                 self._abort(client)
             else:
                 # TRUNCATE (and the clean path) end with an orderly FIN;

@@ -258,15 +258,20 @@ class ExplorationService:
         return EvaluationEngine(jobs=1, cache=cache)
 
     def _lease_engine(self) -> EvaluationEngine:
-        """Borrow an engine, creating lazily up to the slot count."""
+        """Borrow an engine, creating lazily up to the slot count.
+
+        A store that cannot open fails only the job that leased it: the
+        slot is counted after the engine exists, so the next job retries
+        the open instead of waiting forever for an engine never made.
+        """
         try:
             return self._engines.get_nowait()
         except queue_module.Empty:
             pass
         with self._engine_lock:
             if self._engines_created < self.jobs:
-                self._engines_created += 1
                 engine = self._make_engine()
+                self._engines_created += 1
                 self._all_engines.append(engine)
                 return engine
         return self._engines.get()

@@ -29,6 +29,7 @@ from repro.engine.telemetry import (
     render_prometheus_snapshot,
     series_key,
 )
+from repro.engine.trace import critical_path
 from repro.serve import ReplicaSet, ServeClient
 from repro.serve import fleet as fleet_mod
 from repro.serve.fleet import (
@@ -37,7 +38,6 @@ from repro.serve.fleet import (
     collect_journal_files,
     compare_benches,
     fleet_chrome_trace,
-    fleet_critical_path,
     fleet_span_tree,
     load_slo,
     scrape_fleet,
@@ -299,7 +299,7 @@ def test_fleet_tree_chains_incarnations_through_failover_seam(tmp_path):
     assert stitched.trace_ids == [tid]
     (root,) = fleet_span_tree(stitched)
     assert root.kind == "trace"
-    path = fleet_critical_path([root])
+    path = critical_path([root])
     kinds = [node.kind for node in path]
     assert "failover" in kinds, kinds
     assert kinds[-1] == "job"  # ends on the surviving incarnation
@@ -584,7 +584,7 @@ def test_failover_keeps_one_trace_id_and_stitch_crosses_the_seam(tmp_path):
     )
     assert len(stitched.journals) >= 2  # both incarnations journalled
     (root,) = fleet_span_tree(stitched)
-    path = fleet_critical_path([root])
+    path = critical_path([root])
     kinds = [node.kind for node in path]
     assert "failover" in kinds, kinds
     assert kinds[-1] == "job"

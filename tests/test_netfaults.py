@@ -16,6 +16,7 @@ Three layers:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -162,6 +163,29 @@ def test_truncation_never_yields_partial_json(live_service):
         body = client.health()
         assert body["status"] == "ok"
         assert client.counters["retries"] >= 1
+
+
+@pytest.mark.parametrize("kind", ["reset", "truncate"])
+def test_injected_cut_arrives_as_its_kind_well_before_the_timeout(
+    live_service, kind
+):
+    """A cut connection reaches the client at once, as the cut the plan
+    injected: a reset as ``ECONNRESET``, a truncation as a torn HTTP
+    response — never as a read timeout after the full socket timeout."""
+    plan = NetworkFaultPlan(overrides=((0, kind),))
+    with ChaosProxy.for_url(live_service.base_url, plan, name=kind) as proxy:
+        client = ServeClient(proxy.base_url, timeout=5)
+        started = time.monotonic()
+        with pytest.raises((OSError, http.client.HTTPException)) as caught:
+            client._once("GET", "/v1/stats")
+        elapsed = time.monotonic() - started
+    assert proxy.counters.get(kind, 0) == 1
+    assert not isinstance(caught.value, socket.timeout), caught.value
+    assert elapsed < 1.0, f"{kind} took {elapsed:.2f}s to reach the client"
+    if kind == "reset":
+        assert isinstance(caught.value, ConnectionResetError), caught.value
+    else:
+        assert isinstance(caught.value, http.client.HTTPException), caught.value
 
 
 def test_killed_proxy_refuses_like_a_dead_replica(live_service):

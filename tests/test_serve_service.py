@@ -338,3 +338,24 @@ def test_job_rows_are_committed_before_it_reports_completed(tmp_path):
             assert len(sibling) == stored
         finally:
             sibling.close()
+
+
+def test_store_that_fails_to_open_fails_only_its_job(tmp_path):
+    """A store that cannot open fails the job that leased the engine and
+    frees the slot: the next job on the same one-slot replica opens the
+    store again and completes instead of waiting forever."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where the store's directory should be\n")
+    service = ExplorationService(
+        jobs=1,
+        cache_backend=f"sqlite:{blocker / 'results.sqlite'}",
+        serve_dir=tmp_path / "serve",
+    )
+    with ServiceThread(service) as thread:
+        client = ServeClient(thread.base_url)
+        first = client.wait(client.submit(dict(SMALL_JOB))["id"], timeout=60)
+        assert first["state"] == "failed"
+        assert first["error"]
+        blocker.unlink()  # the store can open from now on
+        second = client.wait(client.submit(dict(SMALL_JOB))["id"], timeout=60)
+        assert second["state"] == "completed"

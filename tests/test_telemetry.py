@@ -12,7 +12,6 @@ from repro.engine import (
     MetricsRegistry,
     ProgressLine,
     RunJournal,
-    TelemetryCollector,
     journal_files,
 )
 from repro.engine.events import EngineMetrics
@@ -129,13 +128,15 @@ class TestEngineMetrics:
 
     def test_summary_orders_phases_by_descending_wall_time(self):
         metrics = EngineMetrics()
-        metrics.phase_seconds = {"fast": 0.2, "slow": 5.0, "mid": 1.5}
+        for name, seconds in (("fast", 0.2), ("slow", 5.0), ("mid", 1.5)):
+            metrics.on_event("phase_end", {"name": name, "seconds": seconds})
         lines = [l for l in metrics.summary().splitlines() if l.startswith("phase ")]
         assert lines == ["phase slow: 5.00s", "phase mid: 1.50s", "phase fast: 0.20s"]
 
     def test_summary_breaks_phase_ties_by_name(self):
         metrics = EngineMetrics()
-        metrics.phase_seconds = {"b": 1.0, "a": 1.0}
+        for name in ("b", "a"):
+            metrics.on_event("phase_end", {"name": name, "seconds": 1.0})
         lines = [l for l in metrics.summary().splitlines() if l.startswith("phase ")]
         assert lines == ["phase a: 1.00s", "phase b: 1.00s"]
 
@@ -294,10 +295,10 @@ class TestMetricsRegistry:
         assert "repro_evals_total 7" in prom_path.read_text()
 
 
-class TestTelemetryCollector:
+class TestMetricsRegistryFold:
     def test_counts_core_events(self):
         bus = EventBus()
-        collector = TelemetryCollector(bus)
+        collector = EngineMetrics(bus)
         bus.emit("evaluation", count=4)
         bus.emit("cache_hit", count=2)
         bus.emit("cache_miss", count=1)
@@ -314,7 +315,7 @@ class TestTelemetryCollector:
 
     def test_task_span_feeds_task_seconds(self):
         bus = EventBus()
-        collector = TelemetryCollector(bus)
+        collector = EngineMetrics(bus)
         bus.emit("task_span", name="map", seconds=1.5, queue_wait_s=0.25)
         tasks = collector.registry.get("repro_task_seconds")
         assert tasks.count == 1
@@ -324,7 +325,7 @@ class TestTelemetryCollector:
 
     def test_timed_search_events_feed_histograms(self):
         bus = EventBus()
-        collector = TelemetryCollector(bus)
+        collector = EngineMetrics(bus)
         bus.emit("search_run", strategy="anneal", workload="gzip", moves=10,
                  seconds=2.0)
         bus.emit("search_run", strategy="anneal", workload="mcf")  # untimed
@@ -342,7 +343,7 @@ class TestProgressLine:
     def test_inert_on_non_tty(self):
         bus = EventBus()
         stream = io.StringIO()  # isatty() is False
-        heartbeat = ProgressLine(bus, stream=stream, interval=0.0)
+        heartbeat = ProgressLine(EngineMetrics(bus), stream=stream, interval=0.0)
         assert heartbeat.active is False
         bus.emit("phase_start", name="explore")
         bus.emit("evaluation", count=10)
@@ -356,7 +357,7 @@ class TestProgressLine:
 
         bus = EventBus()
         stream = FakeTty()
-        heartbeat = ProgressLine(bus, stream=stream, interval=0.0)
+        heartbeat = ProgressLine(EngineMetrics(bus), stream=stream, interval=0.0)
         assert heartbeat.active is True
         bus.emit("phase_start", name="explore")
         bus.emit("evaluation", count=10)

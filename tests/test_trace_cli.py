@@ -1,6 +1,7 @@
 """The `repro trace` CLI and journal-backed post-hoc analysis."""
 
 import json
+import re
 
 import pytest
 
@@ -133,6 +134,64 @@ class TestJournalMatchesEngineMetrics:
         assert summary.attempts == 2
         assert summary.monotonic
         assert summary.seq_first == 1 and summary.seq_last == summary.events
+
+
+class TestStatsMetricsOutAndJournalAgree:
+    """One CLI run's ``--stats``, ``--metrics-out`` and journal summary
+    report the same counts: all three read the engine's one fold.
+
+    At ``--jobs 2`` pool workers keep their own counts, so only the
+    agreement is checked there, never the totals."""
+
+    COUNTS = (
+        "evaluations", "cache_hits", "cache_misses", "batches", "retries",
+        "checkpoints",
+    )
+    SERIES = {
+        "evaluations": "repro_evaluations_total",
+        "cache_hits": "repro_cache_hits_total",
+        "cache_misses": "repro_cache_misses_total",
+        "batches": "repro_batches_total",
+        "retries": "repro_retries_total",
+        "checkpoints": "repro_checkpoints_total",
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counts_agree(self, tmp_path, capsys, many_cpus, jobs):
+        journal, metrics_out = tmp_path / "events.jsonl", tmp_path / "m.json"
+        argv = [
+            "customize", "gzip", "mcf", "--iterations", "150",
+            "--jobs", str(jobs), "--retries", "8",
+            "--inject-faults", "seed=7,crash=0.05",
+            "--cache-dir", str(tmp_path / "cache"), "--journal", str(journal), "--metrics-out", str(metrics_out),
+            "--stats",
+        ]
+        assert main(argv) == 0
+        stats = capsys.readouterr().out.split("--- engine stats ---", 1)[1]
+
+        registry = json.loads(metrics_out.read_text())
+        from_metrics = {k: registry[s]["value"] for k, s in self.SERIES.items()}
+        assert main(["trace", "summary", str(journal), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        from_journal = {k: summary[k] for k in self.COUNTS}
+        assert from_metrics == from_journal
+
+        # --stats prints evaluations, hits, lookups and (when any) retries.
+        evaluations, hits, lookups = map(int, re.search(
+            r"evaluations: (\d+) simulated, (\d+) cache hits "
+            r"\(.* over (\d+) lookups\)", stats
+        ).groups())
+        retries = re.search(r"resilience: (\d+) retries", stats)
+        from_stats = {
+            "evaluations": evaluations,
+            "cache_hits": hits,
+            "cache_misses": lookups - hits,
+            "retries": int(retries.group(1)) if retries else 0,
+        }
+        assert from_stats == {k: from_metrics[k] for k in from_stats}
+        assert from_metrics["batches"] > 0 and from_metrics["checkpoints"] > 0
+        if jobs == 1:
+            assert from_metrics["retries"] > 0  # the faults really fired
 
 
 class TestSearchDiagnosticsInJournal:
