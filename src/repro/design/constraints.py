@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import ReproError
 from ..tech.area import core_area_mm2
-from ..tech.power import energy_per_instruction_nj, estimate_power
+from ..tech.power import _estimate_power
 from ..tech.technology import TechnologyNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,12 +83,24 @@ class ConstraintSet:
         profile: "WorkloadProfile",
         config: "CoreConfig",
         result: "SimResult",
+        *,
+        area_mm2: float | None = None,
     ) -> dict[str, float]:
-        """The three constrained figures of one evaluated design point."""
+        """The three constrained figures of one evaluated design point.
+
+        Bit-identical to ``estimate_power(...).total_w``,
+        ``core_area_mm2(...)`` and ``energy_per_instruction_nj(...)``,
+        with the area and the power computed once.  ``area_mm2`` is
+        ``core_area_mm2(tech, config)`` when the caller already has it
+        (a config shared by several workloads).
+        """
+        area = core_area_mm2(tech, config) if area_mm2 is None else area_mm2
+        power_w = _estimate_power(profile, config, result, area).total_w
         return {
-            "power_w": estimate_power(tech, profile, config, result).total_w,
-            "area_mm2": core_area_mm2(tech, config),
-            "epi_nj": energy_per_instruction_nj(tech, profile, config, result),
+            "power_w": power_w,
+            "area_mm2": area,
+            # W / (instr/ns) = nJ per instruction.
+            "epi_nj": power_w / max(result.ipt, 1e-12),
         }
 
     def overruns(self, measures: dict[str, float]) -> dict[str, float]:

@@ -42,7 +42,7 @@ from ..engine import EvaluationEngine
 from ..errors import CommunalError
 from ..tech import TechnologyNode, default_technology
 from ..tech.area import core_area_mm2
-from ..tech.power import estimate_power
+from ..tech.power import _estimate_power
 from ..uarch.config import CoreConfig
 from ..workloads.profile import WorkloadProfile
 from .constraints import ConstraintSet, DesignError
@@ -168,18 +168,19 @@ def build_design_matrix(
     results = engine.evaluate_many(pairs)
     rows, cols = len(profiles), len(named)
     ipt = np.empty((rows, cols), dtype=float)
+    areas = [core_area_mm2(tech, config) for _, config in named]
     peak_power = [0.0] * cols
     for idx, ((profile, config), result) in enumerate(zip(pairs, results)):
         i, j = divmod(idx, cols)
         ipt[i, j] = result.ipt
-        power = estimate_power(tech, profile, config, result).total_w
+        power = _estimate_power(profile, config, result, areas[j]).total_w
         if power > peak_power[j]:
             peak_power[j] = power
     candidates = tuple(
         CoreCandidate(
             name=name,
             config=config,
-            area_mm2=core_area_mm2(tech, config),
+            area_mm2=areas[j],
             peak_power_w=peak_power[j],
         )
         for j, (name, config) in enumerate(named)

@@ -25,6 +25,7 @@ from ..engine import EvaluationEngine
 from ..errors import ConfigurationError, TimingError
 from ..explore.moves import MoveGenerator
 from ..tech import CactiModel, TechnologyNode, default_technology
+from ..tech.area import core_area_mm2
 from ..uarch.config import (
     CORE_TYPES,
     CoreConfig,
@@ -244,14 +245,25 @@ class ParetoExplorer:
             )
         else:
             configs = list(configs)
+        return self._front(profile, configs, self._areas(configs))
+
+    def _areas(self, configs: Sequence[CoreConfig]) -> list[float]:
+        return [core_area_mm2(self.tech, config) for config in configs]
+
+    def _front(
+        self,
+        profile: WorkloadProfile,
+        configs: Sequence[CoreConfig],
+        areas: Sequence[float],
+    ) -> ParetoFront:
         with self.engine.phase(f"pareto:{profile.name}"):
             results = self.engine.evaluate_many(
                 [(profile, config) for config in configs]
             )
             points = []
-            for config, result in zip(configs, results):
+            for config, area, result in zip(configs, areas, results):
                 measures = self.constraints.measure(
-                    self.tech, profile, config, result
+                    self.tech, profile, config, result, area_mm2=area
                 )
                 points.append(
                     DesignPoint(
@@ -297,11 +309,13 @@ class ParetoExplorer:
         seed: int = 0,
     ) -> dict[str, ParetoFront]:
         """Fronts for a suite; the sampled configs are shared across
-        workloads, so the engine's dedup/cache does the heavy lifting."""
+        workloads, so the engine's dedup/cache does the heavy lifting
+        and each config's area is computed once."""
         configs = sample_design_space(
             samples, seed, tech=self.tech, space=self.space
         )
+        areas = self._areas(configs)
         return {
-            profile.name: self.front(profile, configs=configs)
+            profile.name: self._front(profile, configs, areas)
             for profile in profiles
         }

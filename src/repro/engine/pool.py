@@ -54,7 +54,7 @@ from ..workloads.profile import WorkloadProfile
 from .cache import ResultCache
 from .events import EngineMetrics, EventBus
 from .faults import WRONG_RESULT, FaultPlan, InjectedFault, corrupt_result, enact
-from .keys import digest, evaluation_key, simulator_id
+from .keys import digest, finish_key, key_prefix, key_suffix, simulator_id
 from .resilience import (
     ResultIntegrityError,
     RetryPolicy,
@@ -95,14 +95,21 @@ def _simulate_pairs(sim: Any, pairs: Sequence[Pair]) -> list[SimResult]:
     evaluate_batch = getattr(sim, "evaluate_batch", None)
     if evaluate_batch is None or len(pairs) < 2:
         return [sim.evaluate(profile, config) for profile, config in pairs]
+    # Group by object identity first: hashing a profile walks all of its
+    # fields, and a batch repeats a few profile objects many times.
+    by_id: dict[int, tuple[Any, list[int]]] = {}
+    for i, (profile, _) in enumerate(pairs):
+        by_id.setdefault(id(profile), (profile, []))[1].append(i)
+    # Then merge distinct objects that compare equal.
     groups: dict[Any, list[int]] = {}
     try:
-        for i, (profile, _) in enumerate(pairs):
-            groups.setdefault(profile, []).append(i)
+        for profile, indices in by_id.values():
+            groups.setdefault(profile, []).extend(indices)
     except TypeError:  # unhashable profile subtype
         return [sim.evaluate(profile, config) for profile, config in pairs]
     results: list[SimResult | None] = [None] * len(pairs)
     for profile, indices in groups.items():
+        indices.sort()  # merged groups interleave; batch in input order
         batch = evaluate_batch(profile, [pairs[i][1] for i in indices])
         for i, result in zip(indices, batch):
             results[i] = result
@@ -222,6 +229,7 @@ class EvaluationEngine:
         self._simulator_id = simulator_id(self.simulator)
         self._context_digest = "" if context is None else digest(context)
         self._context_bound = context is not None
+        self._reset_key_state()
         self._executor: ProcessPoolExecutor | None = None
         self._pool_broken = False
         self._pool_deaths = 0
@@ -242,6 +250,7 @@ class EvaluationEngine:
             raise EngineError("engine context is already bound to different content")
         self._context_digest = new
         self._context_bound = True
+        self._reset_key_state()
 
     @property
     def context_bound(self) -> bool:
@@ -253,10 +262,22 @@ class EvaluationEngine:
         return "pool" if self.workers > 1 and not self._pool_broken else "serial"
 
     def key_for(self, profile: WorkloadProfile, config: Any) -> str:
-        """The cache key this engine uses for one evaluation."""
-        return evaluation_key(
-            profile, config, simulator=self._simulator_id, context=self._context_digest
-        )
+        """The cache key this engine uses for one evaluation.
+
+        Equal to ``evaluation_key(profile, config, simulator=..., context=...)``
+        with this engine's identity strings.  The last profile's key
+        prefix is kept, matched by identity, so a run of keys for one
+        profile object never re-encodes or re-hashes the profile.
+        """
+        kept = self._kept_prefix
+        if kept is None or kept[0] is not profile:
+            kept = self._kept_prefix = (profile, key_prefix(profile))
+        return finish_key(kept[1], config, self._key_suffix)
+
+    def _reset_key_state(self) -> None:
+        """Recompute the key suffix and drop the kept profile prefix."""
+        self._key_suffix = key_suffix(self._simulator_id, self._context_digest)
+        self._kept_prefix: tuple[Any, Any] | None = None
 
     def phase(self, name: str):
         """Context manager timing a named phase (see :mod:`.events`)."""
@@ -721,6 +742,7 @@ class EvaluationEngine:
         self._simulator_id = simulator_id(self.simulator)
         self._context_digest = state["context_digest"]
         self._context_bound = state["context_bound"]
+        self._reset_key_state()  # a hashlib state does not pickle
         self._executor = None
         self._pool_broken = False
         self._pool_deaths = 0

@@ -79,6 +79,17 @@ def estimate_power(
     result: "SimResult",
 ) -> PowerEstimate:
     """Estimate average power while running ``profile`` on ``config``."""
+    return _estimate_power(profile, config, result, core_area_mm2(tech, config))
+
+
+def _estimate_power(
+    profile: "WorkloadProfile",
+    config: "CoreConfig",
+    result: "SimResult",
+    area_mm2: float,
+) -> PowerEstimate:
+    """:func:`estimate_power` with the core area (``core_area_mm2``)
+    already computed, for callers that also report the area."""
     ipc = result.ipc
     freq_ghz = 1.0 / config.clock_period_ns
 
@@ -102,9 +113,8 @@ def estimate_power(
     # Dynamic power = energy/instr x instrs/ns = nJ x IPT (GW scale: nJ/ns = W).
     dynamic = energy_per_instr * ipc * freq_ghz
 
-    area = core_area_mm2(tech, config)
-    leakage = _LEAKAGE_W_PER_MM2 * area
-    clock = _CLOCK_W_PER_MM2_GHZ * area * freq_ghz
+    leakage = _LEAKAGE_W_PER_MM2 * area_mm2
+    clock = _CLOCK_W_PER_MM2_GHZ * area_mm2 * freq_ghz
     return PowerEstimate(dynamic_w=dynamic, leakage_w=leakage, clock_w=clock)
 
 

@@ -39,7 +39,7 @@ from repro.errors import CommunalError
 from repro.explore.xpscalar import XpScalar, apply_objective, objective_identity
 from repro.tech import default_technology
 from repro.uarch.config import initial_configuration
-from repro.workloads import spec2000_profile
+from repro.workloads import spec2000_profile, spec2000_profiles
 
 
 # ----------------------------------------------------------------------
@@ -85,17 +85,31 @@ class TestConstraintSet:
             estimate_power,
         )
 
-        profile = spec2000_profile("gzip")
-        config = initial_configuration(tech)
+        engine = EvaluationEngine(context=tech)
+        configs = [initial_configuration(tech)] + sample_design_space(12, seed=3, tech=tech)
+        for profile in spec2000_profiles():
+            results = engine.evaluate_many([(profile, c) for c in configs])
+            for config, result in zip(configs, results):
+                measures = ConstraintSet().measure(tech, profile, config, result)
+                power = estimate_power(tech, profile, config, result)
+                # Bit for bit: the three public calls, and EPI's formula.
+                assert measures == {
+                    "power_w": power.total_w,
+                    "area_mm2": core_area_mm2(tech, config),
+                    "epi_nj": energy_per_instruction_nj(tech, profile, config, result),
+                }
+                assert measures["epi_nj"] == power.total_w / max(result.ipt, 1e-12)
+
+    def test_measure_takes_a_precomputed_area(self, tech):
+        from repro.tech.area import core_area_mm2
+
+        profile = spec2000_profile("mcf")
+        config = initial_configuration(tech).replace(core_type="inorder")
         result = EvaluationEngine(context=tech).evaluate(profile, config)
-        measures = ConstraintSet().measure(tech, profile, config, result)
-        assert measures["power_w"] == estimate_power(
-            tech, profile, config, result
-        ).total_w
-        assert measures["area_mm2"] == core_area_mm2(tech, config)
-        assert measures["epi_nj"] == energy_per_instruction_nj(
-            tech, profile, config, result
-        )
+        area = core_area_mm2(tech, config)
+        assert ConstraintSet().measure(
+            tech, profile, config, result, area_mm2=area
+        ) == ConstraintSet().measure(tech, profile, config, result)
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +369,23 @@ class TestDesignMatrix:
             for p in profiles
         ]
         assert matrix.candidate("gzip").peak_power_w == max(powers)
+
+    def test_candidates_priced_by_the_public_models(self, tech):
+        from repro.tech.area import core_area_mm2
+        from repro.tech.power import estimate_power
+
+        engine = EvaluationEngine(context=tech)
+        profiles = spec2000_profiles()
+        base = initial_configuration(tech)
+        configs = {"gzip": base, "mcf": base.replace(width=2), "art": base.replace(rob_size=64)}
+        matrix = build_design_matrix(engine, profiles, configs, tech=tech)
+        for candidate in matrix.candidates:
+            config = candidate.config
+            assert candidate.area_mm2 == core_area_mm2(tech, config)
+            assert candidate.peak_power_w == max(
+                estimate_power(tech, p, config, engine.evaluate(p, config)).total_w
+                for p in profiles
+            )
 
 
 class TestHeteroSearch:

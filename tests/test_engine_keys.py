@@ -1,6 +1,8 @@
 """Content hashing of evaluation requests (repro.engine.keys)."""
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from repro.engine import (
     simulator_id,
     unit_draw,
 )
+from repro.engine.bench import generate_configs
+from repro.engine.keys import ENCODING_VERSION, canonical_json
 from repro.errors import EngineError
 from repro.sim import IntervalSimulator
 from repro.tech import TechnologyNode
 from repro.uarch import initial_configuration
-from repro.workloads import spec2000_profile
+from repro.workloads import spec2000_profile, spec2000_profiles
 
 
 class TestCanonical:
@@ -91,6 +95,113 @@ class TestEvaluationKey:
         base = evaluation_key(p, initial_config)
         assert evaluation_key(p, initial_config, simulator="other@1") != base
         assert evaluation_key(p, initial_config, context="tech-x") != base
+
+    def test_is_digest_of_profile_digest_config_and_identity(self):
+        for profile in spec2000_profiles()[:3]:
+            for config in generate_configs(4, seed=1):
+                for simulator, context in (("", ""), ("sim@2", "ctx:é")):
+                    assert evaluation_key(
+                        profile, config, simulator=simulator, context=context
+                    ) == digest(digest(profile), config, simulator, context)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    """Any field types, and a field omitted while it holds its default."""
+
+    value: object
+    extra: object = "default"
+    __canonical_omit_defaults__ = frozenset({"extra"})
+
+
+def _reference_json(obj):
+    return json.dumps(canonical(obj), separators=(",", ":"))
+
+
+#: Values the generated encoder must write exactly as the reference does.
+EDGE_VALUES = [
+    -0.0,
+    0.0,
+    1.0,
+    -3.0,
+    1e16,
+    1e-7,
+    5e-324,  # smallest subnormal
+    2.2250738585072014e-308 / 3,  # another subnormal
+    1.7976931348623157e308,  # largest double
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+    np.float64(0.1),
+    np.float32(0.5),
+    np.int64(7),
+    np.int8(-3),
+    np.bool_(True),
+    True,
+    False,
+    None,
+    0,
+    -(2**70),
+    "",
+    "plain",
+    'quote " and \\ backslash\n',
+    "non-ascii: é ☃ 𝄞",
+    {"b": 1, "a": [1.5, "x"], 3: None},
+    (1, 2.5, ("nested", -0.0)),
+    [],
+]
+
+
+class TestCanonicalJson:
+    """The generated encoder against its reference, ``canonical``."""
+
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+    def test_edge_values(self, value):
+        assert canonical_json(value) == _reference_json(value)
+
+    @pytest.mark.parametrize("core_type", ["ooo", "inorder"])
+    def test_generated_configs(self, core_type):
+        for config in generate_configs(64, seed=5):
+            config = config.replace(core_type=core_type)
+            assert canonical_json(config) == _reference_json(config)
+
+    def test_every_spec_profile(self):
+        for profile in spec2000_profiles():
+            assert canonical_json(profile) == _reference_json(profile)
+
+    def test_field_values_off_the_fast_path(self, initial_config):
+        odd = initial_config.replace(
+            clock_period_ns=np.float64(0.25),
+            width=np.int64(4),
+            rob_size=np.int32(256),
+            core_type="inorder",
+        )
+        assert canonical_json(odd) == _reference_json(odd)
+        for value in EDGE_VALUES:
+            for holder in (_Holder(value), _Holder(value, value)):
+                assert canonical_json(holder) == _reference_json(holder)
+            nested = {"config": odd, "holder": _Holder(odd, (value,))}
+            assert canonical_json(nested) == _reference_json(nested)
+
+    def test_default_fields_are_omitted(self, initial_config):
+        assert '"core_type"' not in canonical_json(initial_config)
+        assert '"core_type":"inorder"' in canonical_json(
+            initial_config.replace(core_type="inorder")
+        )
+
+    def test_unencodable_raises(self):
+        with pytest.raises(EngineError):
+            canonical_json(object())
+        with pytest.raises(EngineError):
+            canonical_json(TechnologyNode)  # a dataclass type, not an instance
+
+    def test_digest_matches_reference_payload(self, initial_config):
+        parts = (initial_config, "x", 1.0, None, {"k": [2]})
+        payload = json.dumps(
+            [ENCODING_VERSION, *(canonical(p) for p in parts)], separators=(",", ":")
+        )
+        assert digest(*parts) == hashlib.sha256(payload.encode()).hexdigest()
+        assert digest() == hashlib.sha256(f"[{ENCODING_VERSION}]".encode()).hexdigest()
 
 
 class TestDeriveSeed:

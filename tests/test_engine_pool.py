@@ -1,9 +1,12 @@
 """Evaluation engine: caching, batch dedup, map parallelism, fallbacks."""
 
+import dataclasses
+
 import pytest
 
 import repro.engine.pool as pool_mod
-from repro.engine import EvaluationEngine, EventBus
+from repro.engine import EvaluationEngine, EventBus, digest, evaluation_key, simulator_id
+from repro.engine.bench import generate_configs
 from repro.engine.pool import available_cpus
 from repro.errors import EngineError
 from repro.workloads import spec2000_profile
@@ -138,6 +141,29 @@ class TestContext:
     def test_rebinding_same_context_ok(self):
         engine = EvaluationEngine(context="tech-a")
         engine.bind_context("tech-a")
+
+    def test_key_for_matches_evaluation_key(self, tech):
+        engine = EvaluationEngine(context=tech)
+        identity = {"simulator": simulator_id(engine.simulator), "context": digest(tech)}
+        gzip = spec2000_profile("gzip")
+        # Alternating, repeated and equal-but-distinct profile objects.
+        profiles = [gzip, spec2000_profile("mcf"), gzip, dataclasses.replace(gzip)]
+        for profile in profiles:
+            for config in generate_configs(6, seed=2):
+                assert engine.key_for(profile, config) == evaluation_key(
+                    profile, config, **identity
+                )
+
+    def test_bind_context_drops_the_kept_prefix(self, pair):
+        engine = EvaluationEngine()
+        simulator = simulator_id(engine.simulator)
+        unbound = engine.key_for(*pair)
+        assert unbound == evaluation_key(*pair, simulator=simulator)
+        engine.bind_context("tech-a")
+        assert getattr(engine, "_kept_prefix", None) is None
+        bound = engine.key_for(*pair)
+        assert bound == evaluation_key(*pair, simulator=simulator, context=digest("tech-a"))
+        assert bound != unbound
 
 
 class TestPickling:

@@ -16,6 +16,7 @@ seeded sweep otherwise (``REPRO_NO_HYPOTHESIS=1``), like
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -386,6 +387,28 @@ class TestEngineDispatch:
         assert _simulate_pairs(BatchIntervalModel(), pairs) == want
         # An engine with caching off takes the same grouped fast path.
         assert EvaluationEngine(cache=None).evaluate_many(pairs) == want
+
+    def test_equal_profile_objects_share_one_batch_in_input_order(self):
+        gzip = spec2000_profile("gzip")
+        twin = dataclasses.replace(gzip)  # equal content, distinct object
+        mcf = spec2000_profile("mcf")
+        assert twin == gzip and twin is not gzip
+        pairs = [(gzip, WALK[0]), (twin, WALK[1]), (mcf, WALK[2]),
+                 (gzip, WALK[3]), (twin, WALK[4])]
+        calls = []
+
+        class Recording(BatchIntervalModel):
+            def evaluate_batch(self, profile, configs):
+                calls.append((profile, list(configs)))
+                return super().evaluate_batch(profile, configs)
+
+        got = _simulate_pairs(Recording(), pairs)
+        assert [(profile is gzip, profile is mcf, configs) for profile, configs in calls] == [
+            (True, False, [WALK[0], WALK[1], WALK[3], WALK[4]]),
+            (False, True, [WALK[2]]),
+        ]
+        scalar = IntervalSimulator()
+        assert got == [scalar.evaluate(p, c) for p, c in pairs]
 
     def test_scalar_simulator_fallback(self):
         profile = spec2000_profile("gzip")
