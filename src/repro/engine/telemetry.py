@@ -7,7 +7,9 @@ finished (or crashed):
 
 * :class:`RunJournal` — an append-only JSONL journal of every bus event,
   one line per event with a monotonic sequence number and wall-clock
-  timestamp.  Appends are flushed per line (a SIGKILL loses at most the
+  timestamp, except that count-only ``cache_hit``/``cache_miss``/
+  ``evaluation`` counters are summed and written in bursts.  Lines are
+  flushed as written (a SIGKILL loses at most the pending burst and the
   line in flight), rotation is size-capped (``events.jsonl`` →
   ``events.jsonl.1`` …), and reopening a journal — a resumed run —
   recovers the last sequence number so numbering stays monotonic across
@@ -57,10 +59,24 @@ DEFAULT_ROTATE_BYTES = 32 * 1024 * 1024
 
 _ROTATED_RE = re.compile(r"\.(\d+)$")
 
+#: Counter events the journal sums instead of writing one line each,
+#: when their payload is exactly ``{"count": <int>}``.
+COALESCED_EVENTS = frozenset({"cache_hit", "cache_miss", "evaluation"})
+
+#: Coalesced events after which the pending sums are written anyway, so
+#: a live follower of the journal still sees progress.
+DRAIN_EVERY = 256
+
 
 def _jsonable(value: Any) -> Any:
     """Best-effort JSON fallback: telemetry must never raise on payloads."""
     return repr(value)
+
+
+#: The journal's one line encoder: the bytes of ``json.dumps(record,
+#: separators=(",", ":"), default=_jsonable)`` without building a new
+#: encoder per line.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_jsonable)
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +220,14 @@ class RunJournal:
     Use :meth:`attach` to subscribe it to a bus (this also flips the
     bus's ``tracing`` flag on, telling the pool to ship per-task span
     telemetry home from workers), and :meth:`close` to flush and fsync.
+
+    Counters coalesce: an event in :data:`COALESCED_EVENTS` whose payload
+    is exactly ``{"count": <int>}`` is added to a pending per-kind sum.
+    The sums are written as one ``{"count": N}`` line per kind, in
+    first-seen order, before any other line, on :meth:`sync`/
+    :meth:`close`/:meth:`detach`, and after :data:`DRAIN_EVERY` coalesced
+    events.  Counts folded from the journal therefore equal the live
+    ones, and no counter moves across another line.
     """
 
     def __init__(
@@ -219,6 +243,8 @@ class RunJournal:
         self._size = 0
         self._degraded = False
         self._bus: EventBus | None = None
+        self._pending: dict[str, int] = {}
+        self._coalesced = 0
         self._seq = self._recover_seq()
 
     # -- recovery -------------------------------------------------------
@@ -263,7 +289,35 @@ class RunJournal:
         self.append(event, payload)
 
     def append(self, event: str, payload: dict | None = None) -> None:
-        """Append one event as a JSON line (no-op once degraded)."""
+        """Journal one event (no-op once degraded).
+
+        A count-only counter joins the pending sums; anything else first
+        drains them, then is written as its own JSON line.
+        """
+        if self._degraded:
+            return
+        if event in COALESCED_EVENTS and payload is not None and len(payload) == 1:
+            count = payload.get("count")
+            if type(count) is int:
+                self._pending[event] = self._pending.get(event, 0) + count
+                self._coalesced += 1
+                if self._coalesced >= DRAIN_EVERY:
+                    self._drain()
+                return
+        self._drain()
+        self._write(event, payload)
+
+    def _drain(self) -> None:
+        """Write the pending counter sums, one line per kind."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, {}
+        self._coalesced = 0
+        for event, count in pending.items():
+            self._write(event, {"count": count})
+
+    def _write(self, event: str, payload: dict | None) -> None:
+        """Encode, write and flush one record (no-op once degraded)."""
         if self._degraded:
             return
         record: dict[str, Any] = {
@@ -281,7 +335,7 @@ class RunJournal:
         for key, value in self.context.items():
             if key not in record:
                 record[key] = value
-        line = json.dumps(record, separators=(",", ":"), default=_jsonable) + "\n"
+        line = _LINE_ENCODER.encode(record) + "\n"
         try:
             if self._size + len(line) > self.rotate_bytes and self._size > 0:
                 self._rotate()
@@ -330,7 +384,8 @@ class RunJournal:
             )
 
     def sync(self) -> None:
-        """Flush and fsync the journal (called at checkpoints/close)."""
+        """Drain pending counters, then flush and fsync (``close`` calls this)."""
+        self._drain()
         if self._handle is None or self._handle.closed:
             return
         try:

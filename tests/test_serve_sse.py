@@ -170,6 +170,28 @@ def test_stream_replays_finished_job_from_scratch(live_service):
     assert replay_one[-1]["event"] == "job_end"
 
 
+def test_counter_frames_sum_to_the_jobs_stats_before_job_end(live_service):
+    # Counters reach the stream in coalesced bursts; their counts still
+    # add up to the job's own stats, all of them ahead of job_end.
+    job_id = live_service.submit(
+        {"kind": "customize", "benchmarks": ["mcf"], "iterations": 40, "seed": 3}
+    )["id"]
+    events = list(live_service.events(job_id))
+    stats = live_service.wait(job_id)["stats"]
+    assert events[-1]["event"] == "job_end"
+    body = events[:-1]
+    sums = {
+        kind: sum(e["count"] for e in body if e["event"] == kind)
+        for kind in ("cache_hit", "cache_miss")
+    }
+    assert sums == {
+        "cache_hit": stats["cache_hits"],
+        "cache_miss": stats["cache_misses"],
+    }
+    assert sums["cache_miss"] > 0
+    assert len(events) < sums["cache_hit"] + sums["cache_miss"]
+
+
 def test_stream_for_unknown_job_is_404(live_service):
     from repro.errors import ServeClientError
 

@@ -15,7 +15,15 @@ from repro.engine import (
     journal_files,
 )
 from repro.engine.events import EngineMetrics
-from repro.engine.telemetry import Histogram, log_buckets
+from repro.engine.telemetry import (
+    _LINE_ENCODER,
+    DRAIN_EVERY,
+    Histogram,
+    _jsonable,
+    log_buckets,
+)
+from repro.engine.trace import read_events, summarize
+from repro.explore import AnnealingSchedule, XpScalar
 from repro.workloads import spec2000_profile
 
 
@@ -224,13 +232,150 @@ class TestRunJournal:
             def close(self):
                 pass
 
+        journal._handle.close()
         journal._handle = Broken()
-        bus.emit("during")  # journal write fails here
+        bus.emit("cache_miss", count=1)  # pending counters: nothing written yet
+        bus.emit("evaluation", count=1)
+        assert not journal.degraded
+        bus.emit("during")  # the counters' drain fails here
         bus.emit("after")  # journal is a silent no-op from now on
+        for _ in range(DRAIN_EVERY):
+            bus.emit("cache_hit", count=1)
+        journal.close()
         assert journal.degraded
-        assert "telemetry disabled" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("telemetry disabled") == 1
         degraded = [p for e, p in seen if e == "storage_degraded"]
-        assert degraded and degraded[0]["tier"] == "journal"
+        assert len(degraded) == 1 and degraded[0]["tier"] == "journal"
+        assert [json.loads(l)["event"] for l in path.read_text().splitlines()] == [
+            "before"
+        ]
+
+
+def journaled_customize(path):
+    """A small journaled annealing run; returns (engine metrics, bus events)."""
+    with EvaluationEngine(jobs=1) as engine:
+        seen = recorder(engine.events)
+        journal = RunJournal(path).attach(engine.events)
+        explorer = XpScalar(
+            schedule=AnnealingSchedule(iterations=150), engine=engine
+        )
+        explorer.customize_all([spec2000_profile("gzip"), spec2000_profile("mcf")])
+        journal.detach()
+    return engine.metrics, seen
+
+
+class TestJournalCoalescing:
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("coalesce") / "events.jsonl"
+        metrics, seen = journaled_customize(path)
+        return path, metrics, seen
+
+    def test_replay_matches_the_engines_counts(self, run):
+        path, metrics, _ = run
+        summary = summarize(read_events(path))
+        for key in ("evaluations", "cache_hits", "cache_misses", "batches"):
+            assert getattr(summary, key) == getattr(metrics, key), key
+        assert metrics.evaluations > 0 and metrics.cache_hits > 0
+
+    def test_far_fewer_lines_than_events(self, run):
+        path, _, seen = run
+        lines = path.read_text().splitlines()
+        assert len(lines) * 10 < len(seen), (len(lines), len(seen))
+
+    def test_counters_drain_before_the_next_other_line(self, run):
+        path, _, seen = run
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        seqs = [r["seq"] for r in records]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+        # Between any two non-counter lines, the journal's counter lines
+        # sum to exactly the counters the bus delivered between them.
+        def segments(stream):
+            sums, out = {}, []
+            for event, payload in stream:
+                if event in ("cache_hit", "cache_miss", "evaluation"):
+                    sums[event] = sums.get(event, 0) + payload["count"]
+                else:
+                    out.append((sums, event))
+                    sums = {}
+            return out + [(sums, None)]
+
+        journaled = segments((r["event"], r) for r in records)
+        delivered = segments(seen)
+        assert journaled == delivered
+
+    def test_counter_with_other_keys_is_written_verbatim(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with RunJournal(path) as journal:
+            journal.append("cache_hit", {"count": 1})
+            journal.append("cache_hit", {"count": 1, "seconds": 0.1})
+            journal.append("evaluation", {"count": True})
+            journal.append("cache_hit", {"count": 2})
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [(r["event"], r["count"], r.get("seconds")) for r in records] == [
+            ("cache_hit", 1, None),
+            ("cache_hit", 1, 0.1),
+            ("evaluation", True, None),
+            ("cache_hit", 2, None),
+        ]
+        assert list(records[1]) == ["seq", "ts", "mono", "event", "count", "seconds"]
+
+    def test_pending_sums_drain_in_first_seen_order(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        journal = RunJournal(path)
+        for event in ("cache_miss", "evaluation", "cache_hit", "cache_miss"):
+            journal.append(event, {"count": 1})
+        assert not path.exists() or not path.read_text()
+        journal.sync()
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [(r["event"], r["count"]) for r in records] == [
+            ("cache_miss", 2),
+            ("evaluation", 1),
+            ("cache_hit", 1),
+        ]
+        journal.close()
+
+    def test_drains_every_burst_for_live_followers(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        journal = RunJournal(path)
+        for _ in range(DRAIN_EVERY):
+            journal.append("cache_hit", {"count": 1})
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [(r["event"], r["count"]) for r in records] == [
+            ("cache_hit", DRAIN_EVERY)
+        ]
+        journal.close()
+
+    def test_identical_runs_write_identical_counter_sequences(
+        self, run, tmp_path
+    ):
+        path, _, _ = run
+        again = tmp_path / "events.jsonl"
+        journaled_customize(again)
+
+        def shape(p):
+            return [
+                (r["event"], r.get("count"))
+                for r in (json.loads(l) for l in p.read_text().splitlines())
+            ]
+
+        assert shape(path) == shape(again)
+
+
+class TestLineEncoder:
+    def test_lines_match_the_json_dumps_reference(self):
+        records = [
+            {"seq": 1, "ts": 1754500000.123456, "mono": 12.5, "event": "x"},
+            {"nested": {"a": [1, 2.5, {"b": None}], "c": {"d": {}}}},
+            {"text": "gzip → mcf ünïcødé 漢字 \u2028 \"quoted\" \\ \n"},
+            {"floats": [0.1, 1e-07, 1e300, -0.0, 3.0, 2.5e-320, float("inf")]},
+            {"none": None, "flags": [True, False], "tuple": (1, "two")},
+            {"odd": object(), "nested_odd": {"set": {1}}},
+            {"ünï": "key"},
+        ]
+        for record in records:
+            reference = json.dumps(record, separators=(",", ":"), default=_jsonable)
+            assert _LINE_ENCODER.encode(record) == reference
 
 
 class TestMetricsRegistry:
