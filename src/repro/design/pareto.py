@@ -176,7 +176,7 @@ def sample_design_space(
             )
     tech = tech or default_technology()
     space = space or DesignSpace()
-    moves = MoveGenerator(tech, CactiModel(tech), space)
+    moves = MoveGenerator(tech, CactiModel.shared(tech), space)
     rng = np.random.default_rng(seed)
     current = initial_configuration(tech)
     bases: list[CoreConfig] = [current]

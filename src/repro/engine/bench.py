@@ -51,7 +51,7 @@ def generate_configs(count: int, seed: int = 7) -> list[CoreConfig]:
     from ..explore.moves import MoveGenerator  # explore imports engine; stay lazy
 
     tech = default_technology()
-    moves = MoveGenerator(tech, CactiModel(tech), DesignSpace())
+    moves = MoveGenerator(tech, CactiModel.shared(tech), DesignSpace())
     rng = np.random.default_rng(seed)
     config = initial_configuration(tech)
     configs = [config]

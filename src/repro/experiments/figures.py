@@ -73,7 +73,7 @@ def figure2_scenarios(tech: TechnologyNode | None = None) -> list[SlackScenario]
       cycles.
     """
     tech = tech or default_technology()
-    model = CactiModel(tech)
+    model = CactiModel.shared(tech)
     width = 8
 
     def scenario(name, clock, iq_size, l1_geometry):

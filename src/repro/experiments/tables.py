@@ -32,7 +32,7 @@ def table1_unit_delays(
 ) -> dict[str, float]:
     """Table 1 in executable form: each unit's modelled delay (ns)."""
     tech = tech or default_technology()
-    model = CactiModel(tech)
+    model = CactiModel.shared(tech)
     return {
         "L1 data cache": l1_cache_ns(
             model, config.l1.nsets, config.l1.assoc, config.l1.block_bytes

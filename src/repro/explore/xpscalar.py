@@ -270,7 +270,7 @@ class XpScalar:
     ) -> None:
         self.tech = tech or default_technology()
         self.space = space or DesignSpace()
-        self.model = CactiModel(self.tech)
+        self.model = CactiModel.shared(self.tech)
         if engine is not None:
             if simulator is not None and simulator is not engine.simulator:
                 raise ExplorationError(

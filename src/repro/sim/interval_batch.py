@@ -167,7 +167,6 @@ def batch_miss_rate(
     capacity_bytes: np.ndarray,
     block_bytes: np.ndarray,
     assoc: np.ndarray,
-    memo: dict[int, float] | None = None,
 ) -> np.ndarray:
     """Batch :meth:`repro.workloads.profile.MemoryModel.miss_rate`.
 
@@ -176,8 +175,8 @@ def batch_miss_rate(
     (a neighborhood perturbs one parameter at a time), so the cheapest
     *and* trivially bit-identical evaluation is the scalar golden
     method itself, called once per distinct geometry and scattered back
-    over the batch.  ``memo`` (packed geometry -> rate, private to one
-    ``memory``) carries solved geometries across batches.
+    over the batch; it answers geometries solved earlier in the process
+    from its own memo.
     """
     if np.any(capacity_bytes < 64):
         bad = int(capacity_bytes.min())
@@ -196,24 +195,16 @@ def batch_miss_rate(
         _, first, inverse = np.unique(
             packed, return_index=True, return_inverse=True
         )
-        if memo is not None:
-            rates = []
-            for key, i in zip(packed[first].tolist(), first.tolist()):
-                rate = memo.get(key)
-                if rate is None:
-                    rate = memo[key] = memory.miss_rate(
-                        int(capacity_bytes[i]), int(block_bytes[i]), int(assoc[i])
-                    )
-                rates.append(rate)
-            return np.array(rates, dtype=np.float64)[inverse]
     else:  # absurd geometry, but stay correct: every row is its own group
         first = np.arange(len(capacity_bytes))
         inverse = first
     rates = [
-        memory.miss_rate(
-            int(capacity_bytes[i]), int(block_bytes[i]), int(assoc[i])
+        memory.miss_rate(capacity, block, ways)
+        for capacity, block, ways in zip(
+            capacity_bytes[first].tolist(),
+            block_bytes[first].tolist(),
+            assoc[first].tolist(),
         )
-        for i in first.tolist()
     ]
     return np.array(rates, dtype=np.float64)[inverse]
 
@@ -251,11 +242,6 @@ class BatchIntervalModel(IntervalSimulator):
     cache_identity = (
         f"{IntervalSimulator.__module__}.{IntervalSimulator.__qualname__}"
     )
-
-    def __init__(self) -> None:
-        # Solved miss rates carried across batches, one memo per memory
-        # model: {MemoryModel: {packed geometry: rate}}.
-        self._miss_memo: dict[MemoryModel, dict[int, float]] = {}
 
     def evaluate_batch(
         self, profile: WorkloadProfile, configs: Sequence[Any]
@@ -391,12 +377,11 @@ class BatchIntervalModel(IntervalSimulator):
         """Every CPI term for the whole batch, as float64 columns."""
         window = self._effective_window(profile, cols)
         ipc_base = self._base_issue_rate(profile, cols, window)
-        memo = self._miss_memo.setdefault(profile.memory, {})
         miss1 = batch_miss_rate(
-            profile.memory, cols.l1_capacity, cols.l1_block, cols.l1_assoc, memo
+            profile.memory, cols.l1_capacity, cols.l1_block, cols.l1_assoc
         )
         miss2 = batch_miss_rate(
-            profile.memory, cols.l2_capacity, cols.l2_block, cols.l2_assoc, memo
+            profile.memory, cols.l2_capacity, cols.l2_block, cols.l2_assoc
         )
         return {
             "window": window,

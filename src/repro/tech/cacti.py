@@ -41,6 +41,12 @@ class CactiResult:
     datapath_ns: float
 
 
+#: Process-wide ``(_memo, fit_tables)`` of every technology node a
+#: :meth:`CactiModel.shared` model was built for.  Bounded by the
+#: distinct nodes a process meets; never evicted.
+_SHARED_TABLES: dict[TechnologyNode, tuple[dict, dict]] = {}
+
+
 class CactiModel:
     """Access-time model for RAM and CAM structures in one technology node.
 
@@ -50,7 +56,13 @@ class CactiModel:
     and miss counts are kept on ``memo_hits``/``memo_misses``).
 
     ``fit_tables`` holds the per-candidate delay tables that
-    :mod:`repro.uarch.fit` builds on first use; it starts empty.
+    :mod:`repro.uarch.fit` builds on first use.
+
+    ``CactiModel(tech)`` starts with both empty and private.
+    :meth:`shared` returns a model whose ``_memo`` and ``fit_tables`` are
+    the process-wide ones of its technology node, so every explorer,
+    sampler and job of one process solves each geometry once; only the
+    hit/miss counters stay per model.
     """
 
     def __init__(self, tech: TechnologyNode) -> None:
@@ -59,6 +71,21 @@ class CactiModel:
         self.fit_tables: dict[tuple, object] = {}
         self.memo_hits = 0
         self.memo_misses = 0
+
+    @classmethod
+    def shared(cls, tech: TechnologyNode) -> "CactiModel":
+        """A model over the process-wide solutions and fit tables of ``tech``.
+
+        Equal technology nodes share one set of tables.  Every entry is
+        what a private model computes, so results do not depend on which
+        caller filled it; two threads filling the same entry only
+        duplicate work.
+        """
+        model = cls(tech)
+        model._memo, model.fit_tables = _SHARED_TABLES.setdefault(
+            tech, (model._memo, model.fit_tables)
+        )
+        return model
 
     @property
     def tech(self) -> TechnologyNode:

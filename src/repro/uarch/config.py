@@ -283,7 +283,7 @@ def validate_config(
     and memory cycle derivations, the clock range, and (optionally) the
     design-space parameter ranges.
     """
-    model = model or CactiModel(tech)
+    model = model or CactiModel.shared(tech)
     if not tech.min_clock_ns <= config.clock_period_ns <= tech.max_clock_ns:
         raise ConfigurationError(
             f"clock {config.clock_period_ns} ns outside "

@@ -72,11 +72,13 @@ def min_stages(
 #
 # A unit's delay depends only on the CACTI model and the unit's size (and
 # width, for ported structures); only the budget moves with the clock.
-# Each model therefore keeps, in ``CactiModel.fit_tables``, the delays of
-# every candidate, computed once on first use: scalar units keyed by
-# (unit, sizes, width), cache levels by (space, level).  The answers
-# equal the brute-force scans (``max_fitting`` and a filter over the
-# candidates): same candidate order, same ``fits`` test.
+# ``CactiModel.fit_tables`` therefore keeps the delays of every
+# candidate, computed once on first use: scalar units keyed by
+# (unit, sizes, width), cache levels by (space, level).  Models built by
+# ``CactiModel.shared`` share one such dict per technology node, so a
+# process builds each table once.  The answers equal the brute-force
+# scans (``max_fitting`` and a filter over the candidates): same
+# candidate order, same ``fits`` test.
 
 _SCALAR_DELAYS: dict[str, Callable[[CactiModel, int, int], float]] = {
     "iq": issue_queue_ns,

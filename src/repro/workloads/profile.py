@@ -24,11 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import WorkloadError
 
 #: Reference geometry at which miss-rate curves are calibrated.
 REFERENCE_BLOCK_BYTES = 64
+
+#: Solved miss rates, ``{MemoryModel: {(capacity, block, assoc): rate}}``,
+#: shared by every equal model in the process.  Bounded by the distinct
+#: profiles and geometries a process meets; never evicted.
+_MISS_MEMOS: dict["MemoryModel", dict[tuple[int, int, int], float]] = {}
 
 
 @dataclass(frozen=True)
@@ -152,11 +158,40 @@ class MemoryModel:
         block_bytes: int = REFERENCE_BLOCK_BYTES,
         assoc: int = 2,
     ) -> float:
-        """Miss rate per memory access for the given cache geometry."""
+        """Miss rate per memory access for the given cache geometry.
+
+        Solved once per geometry per process: every equal model shares
+        one table of answers (see :attr:`_miss_memo`).
+        """
         if capacity_bytes < 64:
             raise WorkloadError(f"cache capacity below 64 B: {capacity_bytes}")
         if block_bytes < 1 or assoc < 1:
             raise WorkloadError("block size and associativity must be positive")
+        memo = self._miss_memo
+        key = (capacity_bytes, block_bytes, assoc)
+        rate = memo.get(key)
+        if rate is None:
+            rate = memo[key] = self._solve_miss_rate(capacity_bytes, block_bytes, assoc)
+        return rate
+
+    @cached_property
+    def _miss_memo(self) -> dict[tuple[int, int, int], float]:
+        """The process-wide miss-rate table of every model equal to this one.
+
+        Cached on the instance so the model is hashed once, not on every
+        lookup.  It is not a dataclass field, so ``canonical()``, equality
+        and hashing never see it, and :meth:`__getstate__` keeps it out of
+        pickles.
+        """
+        return _MISS_MEMOS.setdefault(self, {})
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_miss_memo", None)
+        return state
+
+    def _solve_miss_rate(self, capacity_bytes: int, block_bytes: int, assoc: int) -> float:
+        """The miss-rate formula behind :meth:`miss_rate` (arguments checked)."""
         capture = 0.0
         for comp in self.components:
             # Two-regime LRU capture: below the component's size the cache

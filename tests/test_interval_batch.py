@@ -283,15 +283,14 @@ class TestDifferential:
             ) < core_area_mm2(tech, config.replace(core_type="ooo"))
 
     def test_miss_memo_carries_across_batches(self):
-        """Geometry solutions are memoized per MemoryModel on the instance."""
+        """Geometry solutions are memoized per MemoryModel, process-wide."""
         profile = spec2000_profile("gzip")
-        sim = BatchIntervalModel()
-        first = sim.evaluate_batch(profile, WALK)
-        memo = sim._miss_memo[profile.memory]
+        first = BatchIntervalModel().evaluate_batch(profile, WALK)
+        memo = profile.memory._miss_memo
         assert len(memo) > 0
         size_before = len(memo)
-        second = sim.evaluate_batch(profile, WALK)
-        assert len(sim._miss_memo[profile.memory]) == size_before
+        second = BatchIntervalModel().evaluate_batch(profile, WALK)
+        assert len(profile.memory._miss_memo) == size_before
         assert first == second
 
 
