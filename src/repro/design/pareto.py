@@ -2,10 +2,14 @@
 
 The paper reports single-objective optima; this module reports the
 whole tradeoff surface: a seeded random walk samples the legal design
-space (every sampled point in both core types), the batch evaluator
-scores all samples in one deduplicated ``evaluate_many`` call, the
-power/area models attach the other two axes, and the non-dominated
-subset — maximize IPT, minimize power, minimize area — is the result.
+space (every sampled point in both core types), the batch model
+scores all samples in one ``simulate_many`` call, the power/area models
+attach the other two axes, and the non-dominated subset — maximize IPT,
+minimize power, minimize area — is the result.
+
+Sampled points bypass the engine's result cache: they almost never
+recur (requests sharing one cache hit 0.39% of their lookups), so a
+key, a lookup and a store write per point would be pure overhead.
 
 Dominance here is the standard strong-Pareto relation: ``a`` dominates
 ``b`` iff ``a`` is no worse on every axis and strictly better on at
@@ -203,9 +207,10 @@ def sample_design_space(
 class ParetoExplorer:
     """Sweep workloads' design spaces into non-dominated fronts.
 
-    All simulation goes through one :class:`EvaluationEngine` batch per
-    workload — deduplicated, cached and vectorized through the batch
-    interval model, in-process.
+    All simulation goes through one uncached
+    :meth:`EvaluationEngine.simulate_many` batch per workload, vectorized
+    through the batch interval model, in-process: whatever cache the
+    engine carries is neither read nor written by a front.
     """
 
     def __init__(
@@ -257,7 +262,7 @@ class ParetoExplorer:
         areas: Sequence[float],
     ) -> ParetoFront:
         with self.engine.phase(f"pareto:{profile.name}"):
-            results = self.engine.evaluate_many(
+            results = self.engine.simulate_many(
                 [(profile, config) for config in configs]
             )
             points = []
@@ -309,8 +314,8 @@ class ParetoExplorer:
         seed: int = 0,
     ) -> dict[str, ParetoFront]:
         """Fronts for a suite; the sampled configs are shared across
-        workloads, so the engine's dedup/cache does the heavy lifting
-        and each config's area is computed once."""
+        workloads, so they are sampled once and each config's area is
+        computed once."""
         configs = sample_design_space(
             samples, seed, tech=self.tech, space=self.space
         )

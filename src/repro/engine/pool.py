@@ -5,7 +5,9 @@ and characterization code runs simulations.  It layers, in order:
 
 1. **content-addressed caching** — every request is keyed by
    :func:`repro.engine.keys.evaluation_key`; hits skip the simulator
-   entirely and are bit-identical to a fresh evaluation;
+   entirely and are bit-identical to a fresh evaluation
+   (:meth:`~EvaluationEngine.simulate_many` skips this layer for pairs
+   that do not recur, such as sampled design points);
 2. **batch deduplication** — :meth:`evaluate_many` simulates each
    distinct (workload, configuration) pair at most once per batch, no
    matter how often the batch repeats it (the Table-5 matrix fill
@@ -310,23 +312,41 @@ class EvaluationEngine:
 
         Returns one result per input pair, in input order.  Each distinct
         (workload, configuration) content is simulated at most once, in
-        this process, through the simulator's batch path.
+        this process, through the simulator's batch path.  Without a
+        cache this is :meth:`simulate_many`.
         """
+        run = self._simulate_many if self.cache is None else self._evaluate_many
+        return self._batch(run, pairs)
+
+    def simulate_many(self, pairs: Sequence[Pair]) -> list[SimResult]:
+        """Simulate a batch without touching the cache: no lookups, no
+        stores, and no keys unless an armed fault plan draws from them.
+
+        For batches whose pairs are not expected to recur (sampled
+        design points).  Results are validated, faults retried and
+        ``evaluation``/``batch`` events emitted exactly as on an
+        engine with ``cache=None``, which takes this same path.
+        """
+        return self._batch(self._simulate_many, pairs)
+
+    def _batch(
+        self, run: Callable[[list[Pair]], list[SimResult]], pairs: Sequence[Pair]
+    ) -> list[SimResult]:
         pairs = list(pairs)
         if not pairs:
             return []
         if self.events.tracing:
             with self.events.span("batch", kind="batch", size=len(pairs)):
-                return self._evaluate_many(pairs)
-        return self._evaluate_many(pairs)
+                return run(pairs)
+        return run(pairs)
 
-    def _evaluate_many(self, pairs: Sequence[Pair]) -> list[SimResult]:
-        if self.cache is None:
-            results = self._simulate(pairs)
-            self.events.emit("evaluation", count=len(pairs))
-            self.events.emit("batch", size=len(pairs), unique=len(pairs), hits=0)
-            return results
+    def _simulate_many(self, pairs: list[Pair]) -> list[SimResult]:
+        results = self._simulate(pairs)
+        self.events.emit("evaluation", count=len(pairs))
+        self.events.emit("batch", size=len(pairs), unique=len(pairs), hits=0)
+        return results
 
+    def _evaluate_many(self, pairs: list[Pair]) -> list[SimResult]:
         keys = [self.key_for(profile, config) for profile, config in pairs]
         resolved: dict[str, SimResult] = {}
         missing: dict[str, Pair] = {}

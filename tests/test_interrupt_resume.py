@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.runs import LOCK_FILE, RunLock
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SWEEP_ARGS = ["sweep", "gzip", "--iterations", "600", "--seed", "0"]
 
@@ -112,18 +114,20 @@ class TestSigtermMidSweep:
         assert not (run_dir / "lock.json").exists()
 
     def test_live_lock_refuses_concurrent_invocation(self, tmp_path):
+        """The lock is held by this test process, a holder that stays
+        alive for the whole clash however fast a sweep runs."""
         run_dir = tmp_path / "busy"
-        proc = _start_sweep(run_dir, tmp_path)
+        holder = RunLock(run_dir / LOCK_FILE).acquire()
         try:
-            _wait_for_progress(run_dir, proc)
             clash = _repro(
                 *SWEEP_ARGS, "--run-dir", str(run_dir), cwd=tmp_path, check=False
             )
             assert clash.returncode == 2
             assert "locked by live pid" in clash.stderr
+            lock = json.loads((run_dir / LOCK_FILE).read_text())
+            assert lock["pid"] == os.getpid()  # refused, not taken over
         finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.communicate(timeout=60)
+            holder.release()
 
 
 class TestTornWriteRecovery:

@@ -300,6 +300,46 @@ def test_pareto_job_runs_and_matches_direct_front(live):
             assert not dominated, f"point {i} dominated by {j}"
 
 
+def test_pareto_job_writes_no_rows_to_the_shared_store(tmp_path):
+    """Sampled design points almost never recur, so a pareto job simulates
+    them without lookups or store writes; a customize job on the same
+    store still writes its rows."""
+    from repro.engine.cache_backends import SQLiteBackend
+
+    path = tmp_path / "shared.sqlite"
+
+    def rows() -> int:
+        store = SQLiteBackend(path)
+        try:
+            return len(store)
+        finally:
+            store.close()
+
+    service = ExplorationService(jobs=1, cache_backend=f"sqlite:{path}", serve_dir=tmp_path)
+    with ServiceThread(service) as thread:
+        client = ServeClient(thread.base_url)
+        custom = client.wait(client.submit(dict(SMALL_JOB))["id"], timeout=60)
+        assert custom["state"] == "completed"
+        assert custom["stats"]["cache"]["stores"] > 0
+        before = rows()
+        assert before == custom["stats"]["cache"]["stores"]
+
+        pareto = client.wait(
+            client.submit(
+                {"kind": "pareto", "benchmarks": ["gzip", "mcf"], "samples": 8, "seed": 4}
+            )["id"],
+            timeout=60,
+        )
+        assert pareto["state"] == "completed"
+        stats = pareto["stats"]
+        explored = sum(front["explored"] for front in pareto["result"]["fronts"])
+        assert explored > 0
+        assert stats["evaluations"] == explored
+        assert stats["cache_hits"] == 0
+        assert stats["cache_misses"] == 0
+        assert rows() == before
+
+
 def test_job_rows_are_committed_before_it_reports_completed(tmp_path):
     """The SQLite backend buffers rows; the service must write a job's
     rows before publishing it as completed, because a client told
