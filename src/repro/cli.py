@@ -80,7 +80,6 @@ from .engine import (
     list_runs,
 )
 from .engine import trace as trace_analysis
-from .engine import bench as engine_bench
 from .errors import RunError
 from .experiments import (
     build_engine,
@@ -535,36 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     client_sub.add_parser("health", help="service liveness")
 
     p = sub.add_parser(
-        "serve-bench",
-        help="load-test a service (self-booted unless --url) and write "
-             "latency percentiles + cache-hit rate to BENCH_serve.json",
-    )
-    p.add_argument("--url", default=None,
-                   help="target an already-running service instead of "
-                        "booting one in-process")
-    p.add_argument("--jobs", type=int, default=12, metavar="N",
-                   help="total jobs to submit (default: 12)")
-    p.add_argument("--clients", type=int, default=4, metavar="N",
-                   help="concurrent client threads (default: 4)")
-    p.add_argument("--iterations", type=int, default=40, metavar="N",
-                   help="annealing iterations per job (default: 40)")
-    p.add_argument("--repeat-every", type=int, default=3, metavar="N",
-                   help="every Nth job repeats the first spec verbatim "
-                        "(default: 3)")
-    p.add_argument("--service-jobs", type=int, default=2, metavar="N",
-                   help="job slots for the self-booted service (default: 2)")
-    p.add_argument("--cache-backend", default=None, metavar="SPEC",
-                   help="backend for the self-booted service "
-                        "(default: sqlite under a temp dir)")
-    p.add_argument("--out", default="BENCH_serve.json", metavar="FILE",
-                   help="report path (default: BENCH_serve.json)")
-    p.add_argument("--check-slo", nargs="?", const="SLO.json", default=None,
-                   metavar="SLO_FILE",
-                   help="after the run, check the report against a "
-                        "committed SLO file (default file: SLO.json); "
-                        "exit nonzero on violation")
-
-    p = sub.add_parser(
         "chaos",
         help="network-chaos acceptance run: replicas behind seeded fault "
              "proxies versus a fault-free baseline; exits nonzero on any "
@@ -608,27 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="after the run, stitch every replica journal and "
                         "write the merged Chrome trace to FILE (the fleet "
                         "trace artifact CI uploads)")
-
-    p = sub.add_parser(
-        "bench-engine",
-        help="benchmark scalar vs vectorized batch evaluation and write "
-             "configs/sec + speedups to BENCH_engine.json",
-    )
-    p.add_argument("--profile", default="gzip", choices=SPEC2000_INT_NAMES,
-                   help="workload profile to evaluate (default: gzip)")
-    p.add_argument("--configs", type=int, default=512, metavar="N",
-                   help="length of the seeded design-space walk "
-                        "(default: 512)")
-    p.add_argument("--batch-sizes", type=int, nargs="+",
-                   default=list(engine_bench.DEFAULT_BATCH_SIZES), metavar="N",
-                   help="batch widths to sweep (default: 16 64 256 512)")
-    p.add_argument("--repeats", type=int, default=3, metavar="N",
-                   help="timing repeats per measurement, best is kept "
-                        "(default: 3)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="seed for the config walk (default: 7)")
-    p.add_argument("--out", default="BENCH_engine.json", metavar="FILE",
-                   help="report path (default: BENCH_engine.json)")
 
     p = sub.add_parser(
         "trace",
@@ -709,40 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "paths)")
         sp.add_argument("--timeout", type=float, default=10.0, metavar="S",
                         help="per-replica scrape timeout (default: 10)")
-
-    p = sub.add_parser(
-        "bench-compare",
-        help="diff current bench reports against committed ones with "
-             "tolerances; optionally check the serve report against "
-             "SLO.json — exits nonzero on regression (the CI perf gate)",
-    )
-    p.add_argument("--serve", default="BENCH_serve.json", metavar="FILE",
-                   help="current serve bench report "
-                        "(default: BENCH_serve.json)")
-    p.add_argument("--engine", default="BENCH_engine.json", metavar="FILE",
-                   help="current engine bench report "
-                        "(default: BENCH_engine.json)")
-    p.add_argument("--committed", default=".", metavar="DIR",
-                   help="directory holding the committed BENCH_*.json "
-                        "(default: the repo root)")
-    p.add_argument("--latency-tolerance", type=float, default=1.0,
-                   metavar="FRAC",
-                   help="allowed fractional p99 latency growth "
-                        "(default: 1.0 = up to 2x)")
-    p.add_argument("--throughput-tolerance", type=float, default=0.6,
-                   metavar="FRAC",
-                   help="allowed fractional throughput loss "
-                        "(default: 0.6 = down to 0.4x)")
-    p.add_argument("--speedup-tolerance", type=float, default=0.5,
-                   metavar="FRAC",
-                   help="allowed fractional engine-speedup loss "
-                        "(default: 0.5 = down to 0.5x)")
-    p.add_argument("--check-slo", nargs="?", const="SLO.json", default=None,
-                   metavar="SLO_FILE",
-                   help="also check the current serve report against "
-                        "this SLO file (default file: SLO.json)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the comparison as JSON")
 
     return parser
 
@@ -1531,52 +1445,6 @@ def cmd_client(args) -> int:
     return 0
 
 
-def cmd_serve_bench(args) -> int:
-    """Load-test a service and write BENCH_serve.json."""
-    from .serve import run_load_test
-
-    report = run_load_test(
-        url=args.url,
-        total_jobs=args.jobs,
-        clients=args.clients,
-        iterations=args.iterations,
-        repeat_every=args.repeat_every,
-        service_jobs=args.service_jobs,
-        cache_backend=args.cache_backend,
-    )
-    out = report.write(args.out)
-    summary = report.to_jsonable()
-    latency = summary["latency_s"]
-    print(
-        f"{report.completed}/{report.jobs} jobs completed "
-        f"({report.failed} failed, {report.rejected} rejected) "
-        f"in {report.wall_seconds:.2f}s"
-    )
-    print(
-        f"latency p50={latency['p50']:.3f}s p95={latency['p95']:.3f}s "
-        f"p99={latency['p99']:.3f}s; cache hit rate "
-        f"{report.cache_hit_rate:.1%} ({report.cache_hits} hits)"
-    )
-    print(
-        f"repeated jobs served from the store: "
-        f"{report.repeated_with_zero_evaluations}/{report.repeated_jobs}"
-    )
-    print(f"wrote {out}")
-    exit_code = 0 if report.failed == 0 else 1
-    if args.check_slo is not None:
-        from .serve.fleet import load_slo, slo_violations
-
-        slo = load_slo(args.check_slo)
-        violations = slo_violations(summary, slo)
-        if violations:
-            for line in violations:
-                print(f"SLO violation: {line}", file=sys.stderr)
-            exit_code = 1
-        else:
-            print(f"SLO check against {args.check_slo}: ok")
-    return exit_code
-
-
 def cmd_chaos(args) -> int:
     """Network-chaos acceptance run (see docs/serve.md)."""
     import json as _json
@@ -1684,66 +1552,6 @@ def cmd_fleet(args) -> int:
     return 0
 
 
-def cmd_bench_compare(args) -> int:
-    """Perf gate: diff bench reports vs committed ones, check the SLO."""
-    import json as _json
-
-    from .serve import fleet as fleet_mod
-
-    result = fleet_mod.compare_benches(
-        serve_current=args.serve,
-        engine_current=args.engine,
-        committed_dir=args.committed,
-        latency_tolerance=args.latency_tolerance,
-        throughput_tolerance=args.throughput_tolerance,
-        speedup_tolerance=args.speedup_tolerance,
-    )
-    slo_failures: list[str] = []
-    if args.check_slo is not None:
-        slo = fleet_mod.load_slo(args.check_slo)
-        current = fleet_mod._load_report(args.serve)
-        if current is None:
-            result["skipped"].append(
-                f"SLO check: no current serve report at {args.serve}"
-            )
-        else:
-            slo_failures = fleet_mod.slo_violations(current, slo)
-    ok = result["ok"] and not slo_failures
-    if args.json:
-        print(_json.dumps(
-            {**result, "ok": ok, "slo_violations": slo_failures}, indent=2
-        ))
-    else:
-        for entry in result["compared"]:
-            print(
-                f"{entry['metric']}: current={entry['current']:.4g} "
-                f"committed={entry['committed']:.4g} "
-                f"ratio={entry['ratio']:.2f}"
-            )
-        for line in result["skipped"]:
-            print(f"skipped: {line}")
-        for line in result["regressions"]:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        for line in slo_failures:
-            print(f"SLO violation: {line}", file=sys.stderr)
-        print("bench-compare: ok" if ok else "bench-compare: FAILED")
-    return 0 if ok else 1
-
-
-def cmd_bench_engine(args) -> int:
-    report = engine_bench.run_engine_bench(
-        profile_name=args.profile,
-        configs=args.configs,
-        batch_sizes=args.batch_sizes,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    out = engine_bench.write_report(report, args.out)
-    print(engine_bench.format_report(report))
-    print(f"wrote {out}")
-    return 0 if report["equivalence"]["equivalent"] else 1
-
-
 _COMMANDS = {
     "customize": cmd_customize,
     "table": cmd_table,
@@ -1760,11 +1568,8 @@ _COMMANDS = {
     "trace": cmd_trace,
     "serve": cmd_serve,
     "client": cmd_client,
-    "serve-bench": cmd_serve_bench,
     "chaos": cmd_chaos,
     "fleet": cmd_fleet,
-    "bench-compare": cmd_bench_compare,
-    "bench-engine": cmd_bench_engine,
 }
 
 

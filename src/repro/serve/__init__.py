@@ -2,8 +2,7 @@
 
 ``repro serve`` runs the long-lived HTTP front-end
 (:class:`ExplorationService`), ``repro client`` talks to it
-(:class:`ServeClient`), and ``repro serve-bench`` measures it
-(:func:`run_load_test`).  See ``docs/serve.md`` for the API, the
+(:class:`ServeClient`).  See ``docs/serve.md`` for the API, the
 tenancy/budget model, and backend selection.
 """
 
@@ -13,19 +12,15 @@ from .fleet import (
     StitchedTrace,
     aggregate_fleet,
     collect_journal_files,
-    compare_benches,
     fleet_chrome_trace,
     fleet_span_tree,
-    load_slo,
     render_fleet_metrics,
     render_fleet_status,
     render_fleet_tree,
     scrape_fleet,
-    slo_violations,
     stitch_journals,
 )
 from .jobs import Job, JobSpec, merge_budgets
-from .loadtest import LoadReport, run_load_test
 from .netfaults import ChaosProxy, ChaosReport, NetworkFaultPlan, run_chaos
 from .replicas import JobHandle, ReplicaSet
 from .runner import execute_job
@@ -39,21 +34,16 @@ __all__ = [
     "StitchedTrace",
     "aggregate_fleet",
     "collect_journal_files",
-    "compare_benches",
     "fleet_chrome_trace",
     "fleet_span_tree",
-    "load_slo",
     "render_fleet_metrics",
     "render_fleet_status",
     "render_fleet_tree",
     "scrape_fleet",
-    "slo_violations",
     "stitch_journals",
     "Job",
     "JobSpec",
     "merge_budgets",
-    "LoadReport",
-    "run_load_test",
     "ChaosProxy",
     "ChaosReport",
     "NetworkFaultPlan",

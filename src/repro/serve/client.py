@@ -4,8 +4,8 @@ A thin, dependency-free wrapper over :mod:`http.client`: submit jobs,
 poll status, fetch results, and iterate SSE progress events — including
 transparent reconnect-with-``Last-Event-ID``, so a dropped stream
 resumes from the journal without duplicating or losing events.  The
-load harness and the service's own tests drive the API through this
-client, so it stays honest.
+benchmark's serve workload and the service's own tests drive the API
+through this client, so it stays honest.
 
 The client is *transient-fault tolerant*: connection refusals/resets,
 torn responses and timeouts are retried through the engine's
@@ -67,9 +67,9 @@ class ServeClient:
     retry_backpressure:
         When True, 429/503 responses are retried after the server's
         ``Retry-After`` instead of raising.  Off by default: a plain
-        client surfaces backpressure to its caller (the load harness
-        counts rejections); the :class:`~repro.serve.replicas.ReplicaSet`
-        failover client turns it on.
+        client surfaces backpressure to its caller; the
+        :class:`~repro.serve.replicas.ReplicaSet` failover client turns
+        it on.
     propagate_trace:
         When True (the default), :meth:`submit` mints a W3C-style trace
         context (or reuses one handed in) and sends ``traceparent`` on

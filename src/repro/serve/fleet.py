@@ -1,4 +1,4 @@
-"""Fleet-wide observability: journal stitching, metric aggregation, SLOs.
+"""Fleet-wide observability: journal stitching and metric aggregation.
 
 PR 5 made one run legible (journal + ``repro trace``); PRs 6 and 9 grew
 the system into a multi-replica, failover-capable service whose requests
@@ -26,19 +26,13 @@ module is the read side that makes the *fleet* legible:
   :func:`aggregate_fleet` scrape every replica's ``/v1/metrics`` +
   ``/v1/stats`` and merge the snapshots (counters sum, histograms sum
   bucket-wise) into one Prometheus textfile plus a JSON snapshot with a
-  per-replica breakdown;
-* **SLO gating** — :func:`load_slo` / :func:`slo_violations` check a
-  committed ``SLO.json`` against a serve-bench report, and
-  :func:`compare_benches` diffs current ``BENCH_serve.json`` /
-  ``BENCH_engine.json`` against committed ones with tolerances — the
-  ``repro bench-compare`` CI gate.
+  per-replica breakdown.
 
 Everything here is stdlib-only and read-only over the journals.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -61,9 +55,6 @@ __all__ = [
     "aggregate_fleet",
     "render_fleet_metrics",
     "render_fleet_status",
-    "load_slo",
-    "slo_violations",
-    "compare_benches",
 ]
 
 
@@ -577,181 +568,3 @@ def render_fleet_status(aggregate: dict[str, Any]) -> str:
     for url, error in sorted(aggregate.get("errors", {}).items()):
         lines.append(f"  DOWN {url}: {error}")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# SLOs and bench comparison
-# ----------------------------------------------------------------------
-
-
-def load_slo(path: str | Path) -> dict[str, Any]:
-    """Read and validate a committed SLO file.
-
-    Schema (all thresholds optional, missing means not enforced)::
-
-        {
-          "schema": 1,
-          "p99_latency_s":      <max p99 submit->completed seconds>,
-          "max_error_rate":     <max failed/(completed+failed)>,
-          "min_cache_hit_rate": <min repeat-round cache hit rate>
-        }
-    """
-    path = Path(path)
-    try:
-        slo = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FleetError(f"cannot read SLO file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise FleetError(f"SLO file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(slo, dict):
-        raise FleetError(f"SLO file {path} must hold a JSON object")
-    for key in ("p99_latency_s", "max_error_rate", "min_cache_hit_rate"):
-        value = slo.get(key)
-        if value is not None and not isinstance(value, (int, float)):
-            raise FleetError(f"SLO {key} must be a number, got {value!r}")
-    return slo
-
-
-def slo_violations(report: dict[str, Any], slo: dict[str, Any]) -> list[str]:
-    """Every way ``report`` (a BENCH_serve.json payload) misses the SLO."""
-    violations: list[str] = []
-    p99 = report.get("latency_s", {}).get("p99")
-    limit = slo.get("p99_latency_s")
-    if limit is not None and p99 is not None and p99 > limit:
-        violations.append(f"p99 latency {p99:.3f}s exceeds SLO {limit:.3f}s")
-    completed = int(report.get("completed", 0))
-    failed = int(report.get("failed", 0))
-    finished = completed + failed
-    limit = slo.get("max_error_rate")
-    if limit is not None and finished:
-        error_rate = failed / finished
-        if error_rate > limit:
-            violations.append(
-                f"error rate {error_rate:.3f} exceeds SLO {limit:.3f}"
-            )
-    hit_rate = report.get("cache", {}).get("hit_rate")
-    limit = slo.get("min_cache_hit_rate")
-    if limit is not None and hit_rate is not None and hit_rate < limit:
-        violations.append(
-            f"cache hit rate {hit_rate:.3f} below SLO {limit:.3f}"
-        )
-    return violations
-
-
-def _load_report(path: str | Path) -> dict[str, Any] | None:
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise FleetError(f"cannot read bench report {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FleetError(f"bench report {path} must hold a JSON object")
-    return payload
-
-
-def compare_benches(
-    serve_current: str | Path | None = None,
-    engine_current: str | Path | None = None,
-    committed_dir: str | Path = ".",
-    latency_tolerance: float = 1.0,
-    throughput_tolerance: float = 0.6,
-    speedup_tolerance: float = 0.5,
-) -> dict[str, Any]:
-    """Diff current bench reports against committed ones with tolerances.
-
-    Regressions (fail-the-build findings):
-
-    * serve p99 latency grew beyond ``latency_tolerance`` (fractional —
-      1.0 means "more than twice the committed p99");
-    * serve throughput fell beyond ``throughput_tolerance``;
-    * engine best batch/scoring speedup fell beyond
-      ``speedup_tolerance``.
-
-    Defaults are deliberately loose: CI machines vary wildly, and the
-    gate exists to catch order-of-magnitude regressions loudly, not to
-    flake on noise.  A missing current or committed report is *skipped*
-    (reported, not failed) so the gate degrades gracefully while reports
-    are first being committed.
-    """
-    committed_dir = Path(committed_dir)
-    regressions: list[str] = []
-    skipped: list[str] = []
-    compared: list[dict[str, Any]] = []
-
-    current = _load_report(serve_current) if serve_current else None
-    committed = _load_report(committed_dir / "BENCH_serve.json")
-    if current is None or committed is None:
-        skipped.append(
-            "serve: missing "
-            + ("current" if current is None else "committed")
-            + " report"
-        )
-    else:
-        cur_p99 = current.get("latency_s", {}).get("p99")
-        old_p99 = committed.get("latency_s", {}).get("p99")
-        if cur_p99 is not None and old_p99:
-            ratio = cur_p99 / old_p99
-            compared.append(
-                {"metric": "serve.p99_latency_s", "current": cur_p99,
-                 "committed": old_p99, "ratio": ratio}
-            )
-            if ratio > 1.0 + latency_tolerance:
-                regressions.append(
-                    f"serve p99 latency {cur_p99:.3f}s is {ratio:.2f}x the "
-                    f"committed {old_p99:.3f}s "
-                    f"(tolerance {1.0 + latency_tolerance:.2f}x)"
-                )
-        cur_tp = current.get("throughput_jobs_per_s")
-        old_tp = committed.get("throughput_jobs_per_s")
-        if cur_tp is not None and old_tp:
-            ratio = cur_tp / old_tp
-            compared.append(
-                {"metric": "serve.throughput_jobs_per_s", "current": cur_tp,
-                 "committed": old_tp, "ratio": ratio}
-            )
-            if ratio < 1.0 - throughput_tolerance:
-                regressions.append(
-                    f"serve throughput {cur_tp:.2f} jobs/s fell to "
-                    f"{ratio:.2f}x the committed {old_tp:.2f} "
-                    f"(tolerance {1.0 - throughput_tolerance:.2f}x)"
-                )
-
-    current = _load_report(engine_current) if engine_current else None
-    committed = _load_report(committed_dir / "BENCH_engine.json")
-    if current is None or committed is None:
-        skipped.append(
-            "engine: missing "
-            + ("current" if current is None else "committed")
-            + " report"
-        )
-    else:
-        for which in ("batch", "scoring"):
-            cur_speed = (
-                current.get("best", {}).get(which, {}).get("speedup")
-            )
-            old_speed = (
-                committed.get("best", {}).get(which, {}).get("speedup")
-            )
-            if cur_speed is None or not old_speed:
-                continue
-            ratio = cur_speed / old_speed
-            compared.append(
-                {"metric": f"engine.best.{which}.speedup",
-                 "current": cur_speed, "committed": old_speed,
-                 "ratio": ratio}
-            )
-            if ratio < 1.0 - speedup_tolerance:
-                regressions.append(
-                    f"engine {which} speedup {cur_speed:.2f}x fell to "
-                    f"{ratio:.2f}x the committed {old_speed:.2f}x "
-                    f"(tolerance {1.0 - speedup_tolerance:.2f}x)"
-                )
-
-    return {
-        "ok": not regressions,
-        "regressions": regressions,
-        "skipped": skipped,
-        "compared": compared,
-    }

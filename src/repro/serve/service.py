@@ -947,7 +947,7 @@ class ExplorationService:
 
 
 class ServiceThread:
-    """Run one service on a daemon thread (tests and the load harness).
+    """Run one service on a daemon thread (tests and the benchmark).
 
     Signals are not installed (not the main thread); stop with
     :meth:`stop`, which requests a loop shutdown and then drains.

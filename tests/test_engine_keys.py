@@ -17,13 +17,14 @@ from repro.engine import (
     simulator_id,
     unit_draw,
 )
-from repro.engine.bench import generate_configs
 from repro.engine.keys import ENCODING_VERSION, canonical_json
 from repro.errors import EngineError
 from repro.sim import IntervalSimulator
 from repro.tech import TechnologyNode
 from repro.uarch import initial_configuration
 from repro.workloads import spec2000_profile, spec2000_profiles
+
+from .walks import generate_configs
 
 
 class TestCanonical:

@@ -6,10 +6,11 @@ import pytest
 
 import repro.engine.pool as pool_mod
 from repro.engine import EvaluationEngine, EventBus, digest, evaluation_key, simulator_id
-from repro.engine.bench import generate_configs
 from repro.engine.pool import available_cpus
 from repro.errors import EngineError
 from repro.workloads import spec2000_profile
+
+from .walks import generate_configs
 
 
 @pytest.fixture()

@@ -1,9 +1,9 @@
-"""Fleet observability: trace propagation, stitching, aggregation, SLOs.
+"""Fleet observability: trace propagation, stitching and aggregation.
 
 Covers the distributed-tracing layer end to end: traceparent headers
 from client to replica journals to the http store backend, journal
 stitching with skew alignment and failover seams, bucket-wise metric
-merging across replicas, and the `repro bench-compare` / SLO perf gate.
+merging across replicas.
 """
 
 from __future__ import annotations
@@ -36,12 +36,9 @@ from repro.serve.fleet import (
     FleetError,
     aggregate_fleet,
     collect_journal_files,
-    compare_benches,
     fleet_chrome_trace,
     fleet_span_tree,
-    load_slo,
     scrape_fleet,
-    slo_violations,
     stitch_journals,
 )
 from repro.serve.service import ExplorationService, ServiceThread
@@ -591,161 +588,3 @@ def test_failover_keeps_one_trace_id_and_stitch_crosses_the_seam(tmp_path):
     rs.close()
     for thread in threads.values():
         thread.stop()
-
-
-# ----------------------------------------------------------------------
-# SLOs + bench comparison (the CI perf gate)
-# ----------------------------------------------------------------------
-
-
-GOOD_REPORT = {
-    "completed": 24, "failed": 0,
-    "latency_s": {"p99": 0.2},
-    "throughput_jobs_per_s": 30.0,
-    "cache": {"hit_rate": 0.6},
-}
-
-
-def test_load_slo_validates(tmp_path):
-    path = tmp_path / "SLO.json"
-    path.write_text(json.dumps({"schema": 1, "p99_latency_s": 1.5}))
-    assert load_slo(path)["p99_latency_s"] == 1.5
-    path.write_text(json.dumps({"p99_latency_s": "fast"}))
-    with pytest.raises(FleetError):
-        load_slo(path)
-    path.write_text("[1]")
-    with pytest.raises(FleetError):
-        load_slo(path)
-    with pytest.raises(FleetError):
-        load_slo(tmp_path / "missing.json")
-
-
-def test_slo_violations_each_threshold():
-    slo = {"p99_latency_s": 0.1, "max_error_rate": 0.01,
-           "min_cache_hit_rate": 0.9}
-    report = dict(GOOD_REPORT, failed=6)
-    violations = slo_violations(report, slo)
-    assert len(violations) == 3
-    assert any("p99" in v for v in violations)
-    assert any("error rate" in v for v in violations)
-    assert any("hit rate" in v for v in violations)
-    assert slo_violations(GOOD_REPORT, {}) == []
-
-
-def _write_reports(directory: Path, serve: dict, engine: dict) -> None:
-    (directory / "BENCH_serve.json").write_text(json.dumps(serve))
-    (directory / "BENCH_engine.json").write_text(json.dumps(engine))
-
-
-ENGINE_REPORT = {"best": {"batch": {"speedup": 6.0},
-                          "scoring": {"speedup": 14.0}}}
-
-
-def test_compare_benches_ok_within_tolerance(tmp_path):
-    _write_reports(tmp_path, GOOD_REPORT, ENGINE_REPORT)
-    current = dict(GOOD_REPORT, latency_s={"p99": 0.3})  # 1.5x: inside 2x
-    (tmp_path / "cur_serve.json").write_text(json.dumps(current))
-    result = compare_benches(
-        serve_current=tmp_path / "cur_serve.json",
-        engine_current=tmp_path / "BENCH_engine.json",
-        committed_dir=tmp_path,
-    )
-    assert result["ok"] is True
-    assert result["regressions"] == []
-    assert {entry["metric"] for entry in result["compared"]} == {
-        "serve.p99_latency_s", "serve.throughput_jobs_per_s",
-        "engine.best.batch.speedup", "engine.best.scoring.speedup",
-    }
-
-
-def test_compare_benches_flags_p99_regression(tmp_path):
-    _write_reports(tmp_path, GOOD_REPORT, ENGINE_REPORT)
-    bad = dict(GOOD_REPORT, latency_s={"p99": 0.2 * 5})
-    (tmp_path / "cur_serve.json").write_text(json.dumps(bad))
-    result = compare_benches(
-        serve_current=tmp_path / "cur_serve.json",
-        committed_dir=tmp_path,
-    )
-    assert result["ok"] is False
-    assert any("p99" in line for line in result["regressions"])
-
-
-def test_compare_benches_missing_reports_are_skipped_not_failed(tmp_path):
-    result = compare_benches(
-        serve_current=tmp_path / "nope.json",
-        engine_current=tmp_path / "nope2.json",
-        committed_dir=tmp_path,
-    )
-    assert result["ok"] is True
-    assert len(result["skipped"]) == 2
-
-
-def test_bench_compare_cli_exits_nonzero_on_injected_regression(
-    tmp_path, capsys
-):
-    _write_reports(tmp_path, GOOD_REPORT, ENGINE_REPORT)
-    bad = dict(GOOD_REPORT, latency_s={"p99": 0.2 * 5})
-    (tmp_path / "cur.json").write_text(json.dumps(bad))
-    code = main(
-        [
-            "bench-compare",
-            "--serve", str(tmp_path / "cur.json"),
-            "--engine", str(tmp_path / "BENCH_engine.json"),
-            "--committed", str(tmp_path),
-        ]
-    )
-    assert code == 1
-    captured = capsys.readouterr()
-    assert "REGRESSION" in captured.err
-    assert "FAILED" in captured.out
-    # Same inputs inside tolerance pass.
-    (tmp_path / "cur.json").write_text(json.dumps(GOOD_REPORT))
-    assert main(
-        [
-            "bench-compare",
-            "--serve", str(tmp_path / "cur.json"),
-            "--engine", str(tmp_path / "BENCH_engine.json"),
-            "--committed", str(tmp_path),
-        ]
-    ) == 0
-
-
-def test_bench_compare_cli_checks_slo(tmp_path, capsys):
-    _write_reports(tmp_path, GOOD_REPORT, ENGINE_REPORT)
-    (tmp_path / "cur.json").write_text(json.dumps(GOOD_REPORT))
-    slo = tmp_path / "SLO.json"
-    slo.write_text(json.dumps({"schema": 1, "p99_latency_s": 0.05}))
-    code = main(
-        [
-            "bench-compare",
-            "--serve", str(tmp_path / "cur.json"),
-            "--engine", str(tmp_path / "BENCH_engine.json"),
-            "--committed", str(tmp_path),
-            "--check-slo", str(slo),
-        ]
-    )
-    assert code == 1
-    assert "SLO violation" in capsys.readouterr().err
-    slo.write_text(json.dumps({"schema": 1, "p99_latency_s": 10.0}))
-    assert main(
-        [
-            "bench-compare",
-            "--serve", str(tmp_path / "cur.json"),
-            "--engine", str(tmp_path / "BENCH_engine.json"),
-            "--committed", str(tmp_path),
-            "--check-slo", str(slo),
-            "--json",
-        ]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is True
-    assert payload["slo_violations"] == []
-
-
-def test_committed_slo_file_is_loose_enough_for_committed_bench():
-    """The SLO committed at the repo root must hold for the committed
-    BENCH_serve.json — otherwise the CI gate fails on day one."""
-    root = Path(__file__).resolve().parent.parent
-    slo = load_slo(root / "SLO.json")
-    report = json.loads((root / "BENCH_serve.json").read_text())
-    assert slo_violations(report, slo) == []

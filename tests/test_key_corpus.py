@@ -5,7 +5,7 @@ signatures are on-disk contracts: a result store or checkpoint written
 by an earlier build is only found again when the encoder still produces
 the same digests.  ``tests/golden/keys.json`` pins those digests for
 every SPEC2000 profile against a seeded
-:func:`~repro.engine.bench.generate_configs` sample, a suite run
+:func:`tests.walks.generate_configs` sample, a suite run
 signature, and the edge values the encoder treats specially (a
 non-default ``core_type``, integral floats, numpy scalars, non-empty
 simulator and context strings).
@@ -25,13 +25,14 @@ import numpy as np
 import pytest
 
 from repro.engine import digest, evaluation_key, simulator_id
-from repro.engine.bench import generate_configs
 from repro.engine.keys import ENCODING_VERSION
 from repro.explore import XpScalar
 from repro.sim import IntervalSimulator
 from repro.tech import default_technology
 from repro.uarch import initial_configuration
 from repro.workloads import spec2000_profiles
+
+from .walks import generate_configs
 
 CORPUS_PATH = Path(__file__).parent / "golden" / "keys.json"
 

@@ -10,7 +10,9 @@ predictable.
 from __future__ import annotations
 
 import json
+import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -242,6 +244,41 @@ def test_service_result_is_bit_identical_to_direct_run(tmp_path):
     assert second["stats"]["cache"]["hits"] > 0
 
 
+def test_concurrent_mix_completes_and_repeats_hit_the_store(tmp_path):
+    """The serve contract under load: 18 customize jobs from 6 client
+    threads on a two-slot SQLite replica all complete within 60 s of
+    their submit, and every 3rd job, a repeat of the first spec, can be
+    served from the shared store with no fresh evaluation."""
+    mix = ("gzip", "mcf", "parser", "vpr")
+    payloads = [
+        {"kind": "customize", "benchmarks": [mix[i % 4]], "iterations": 40, "seed": i % 3}
+        for i in range(18)
+    ]
+    repeats = range(3, 18, 3)
+    for i in repeats:
+        payloads[i] = dict(payloads[0])
+
+    service = ExplorationService(
+        jobs=2, cache_backend=f"sqlite:{tmp_path / 'results.sqlite'}", serve_dir=tmp_path
+    )
+    with ServiceThread(service) as thread:
+
+        def run(i: int) -> tuple[float, dict]:
+            client = ServeClient(thread.base_url)
+            started = time.perf_counter()
+            record = client.wait(client.submit(payloads[i])["id"], timeout=60)
+            return time.perf_counter() - started, record
+
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = list(pool.map(run, range(18)))
+
+    states = [record["state"] for _, record in results]
+    assert states.count("completed") == 18, states
+    assert max(latency for latency, _ in results) < 60.0
+    assert sum(record["stats"]["cache"]["hits"] for _, record in results) >= 1
+    assert any(results[i][1]["stats"]["evaluations"] == 0 for i in repeats)
+
+
 # ----------------------------------------------------------------------
 # pareto jobs
 # ----------------------------------------------------------------------
@@ -347,8 +384,6 @@ def test_job_rows_are_committed_before_it_reports_completed(tmp_path):
 
     Handing the engine back is slowed down so a flush left to that step
     would be observed as missing rows."""
-    import time
-
     from repro.engine.cache_backends import SQLiteBackend
 
     path = tmp_path / "shared.sqlite"
