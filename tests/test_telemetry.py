@@ -430,6 +430,38 @@ class TestMetricsRegistry:
         assert 'repro_lat_seconds_bucket{le="+Inf"} 3' in text
         assert "repro_lat_seconds_count 3" in text
 
+    def test_prometheus_text_is_exact(self):
+        registry = MetricsRegistry()
+        registry.counter("jobs_total", "Jobs done").inc(3)
+        registry.counter(
+            "jobs_total", "Jobs done", labels={"tenant": 'a"b\\c\nd'}
+        ).inc(2)
+        registry.gauge("depth", "Queue depth").set(1.5)
+        registry.counter("bare_total").inc()
+        h = registry.histogram(
+            "lat_seconds", "Latency", buckets=[0.25, 1], labels={"tenant": "t"}
+        )
+        for value in (0.25, 0.5, 7.0):
+            h.observe(value)
+        assert registry.render_prometheus() == (
+            "# HELP jobs_total Jobs done\n"
+            "# TYPE jobs_total counter\n"
+            "jobs_total 3\n"
+            'jobs_total{tenant="a\\"b\\\\c\\nd"} 2\n'
+            "# HELP depth Queue depth\n"
+            "# TYPE depth gauge\n"
+            "depth 1.5\n"
+            "# TYPE bare_total counter\n"
+            "bare_total 1\n"
+            "# HELP lat_seconds Latency\n"
+            "# TYPE lat_seconds histogram\n"
+            'lat_seconds_bucket{tenant="t",le="0.25"} 1\n'
+            'lat_seconds_bucket{tenant="t",le="1"} 2\n'
+            'lat_seconds_bucket{tenant="t",le="+Inf"} 3\n'
+            'lat_seconds_sum{tenant="t"} 7.75\n'
+            'lat_seconds_count{tenant="t"} 3\n'
+        )
+
     def test_write_json_and_prometheus(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("repro_evals_total", "evals").inc(7)
