@@ -499,9 +499,6 @@ class Counter:
             payload["labels"] = dict(self.labels)
         return payload
 
-    def render_prometheus(self) -> str:
-        return f"{series_key(self.name, self.labels)} {_fmt_num(self.value)}\n"
-
 
 class Gauge:
     """A value that can go up and down (last write wins)."""
@@ -529,9 +526,6 @@ class Gauge:
         if self.labels:
             payload["labels"] = dict(self.labels)
         return payload
-
-    def render_prometheus(self) -> str:
-        return f"{series_key(self.name, self.labels)} {_fmt_num(self.value)}\n"
 
 
 def log_buckets(
@@ -601,28 +595,6 @@ class Histogram:
         if self.labels:
             payload["labels"] = dict(self.labels)
         return payload
-
-    def _bucket_series(self, le: str) -> str:
-        # `le` must come last by convention; sorted() would not keep it
-        # there, so render the suffix by hand.
-        inner = ",".join(
-            f'{key}="{escape_label_value(value)}"'
-            for key, value in sorted(self.labels.items())
-        )
-        inner = f'{inner},le="{le}"' if inner else f'le="{le}"'
-        return f"{self.name}_bucket{{{inner}}}"
-
-    def render_prometheus(self) -> str:
-        suffix = _label_suffix(self.labels)
-        lines = []
-        cumulative = 0
-        for bound, count in zip(self.bounds, self.counts):
-            cumulative += count
-            lines.append(f"{self._bucket_series(_fmt_num(bound))} {cumulative}")
-        lines.append(f'{self._bucket_series("+Inf")} {self.count}')
-        lines.append(f"{self.name}_sum{suffix} {_fmt_num(self.sum)}")
-        lines.append(f"{self.name}_count{suffix} {self.count}")
-        return "\n".join(lines) + "\n"
 
 
 def _fmt_num(value: float) -> str:
@@ -696,16 +668,7 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """Prometheus textfile-collector format (HELP/TYPE + samples)."""
-        out = io.StringIO()
-        seen_families: set[str] = set()
-        for metric in self._metrics.values():
-            if metric.name not in seen_families:
-                seen_families.add(metric.name)
-                if metric.help:
-                    out.write(f"# HELP {metric.name} {metric.help}\n")
-                out.write(f"# TYPE {metric.name} {metric.kind}\n")
-            out.write(metric.render_prometheus())
-        return out.getvalue()
+        return render_prometheus_snapshot(self.to_jsonable())
 
     def write(self, path: str | Path) -> Path:
         """Persist the registry: ``.json`` paths get JSON, others
@@ -779,10 +742,11 @@ def merge_metric_snapshots(snapshots: Iterable[dict[str, Any]]) -> dict[str, Any
 def render_prometheus_snapshot(snapshot: dict[str, Any]) -> str:
     """Prometheus textfile rendering of a (possibly merged) JSON snapshot.
 
-    The inverse-ish of :meth:`MetricsRegistry.to_jsonable`: reconstructs
-    each series from its snapshot entry (labels are already baked into
-    the series key) and renders the same exposition format the live
-    registry would.
+    The one Prometheus renderer: :meth:`MetricsRegistry.render_prometheus`
+    is this over the registry's own :meth:`~MetricsRegistry.to_jsonable`,
+    and ``repro fleet metrics`` is this over a merged snapshot.  Each
+    series is rebuilt from its entry (labels are already baked into the
+    series key); a histogram's ``le`` label comes last.
     """
     out = io.StringIO()
     seen_families: set[str] = set()

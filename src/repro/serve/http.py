@@ -1,28 +1,32 @@
 """Minimal HTTP/1.1 plumbing for the exploration service.
 
-The service is stdlib-only by charter, and ``http.server`` is
-thread-per-connection while the service is asyncio — so this module
-hand-rolls the small HTTP subset the API needs on top of asyncio
-streams: request-line + headers + ``Content-Length`` bodies in,
-fixed-length JSON responses and unbounded ``text/event-stream``
-responses out, one request per connection (``Connection: close``).
-That subset is deliberate: no keep-alive, no chunked encoding, no
-pipelining — every simplification is one less state machine to get
-wrong, and SSE (the one long-lived response) works on a closed
-connection by definition.
+The service is stdlib-only by charter.  ``socketserver`` gives it one
+thread per connection; this module owns what goes over the wire, a
+deliberately small subset of HTTP: request-line + headers +
+``Content-Length`` bodies in, fixed-length JSON responses and unbounded
+``text/event-stream`` responses out, one request per connection
+(``Connection: close``).  ``http.server`` would parse the request for
+free, but it speaks a wider subset (HTTP/0.9 request lines, heads past
+the 16 KiB cap below), and that subset and its caps are the contract.
+No keep-alive, no chunked encoding, no pipelining — every
+simplification is one less state machine to get wrong, and SSE (the one
+long-lived response) works on a closed connection by definition.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, BinaryIO
 from urllib.parse import parse_qs, unquote, urlsplit
 
 #: Hard caps so a misbehaving client cannot balloon service memory.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
+#: An oversized head is still read up to here before the 400 goes out:
+#: closing over unread bytes resets the connection, and the reset can
+#: destroy the answer before the client reads it.
+_HEAD_READ_LIMIT = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -67,16 +71,18 @@ class BadRequest(Exception):
     """The bytes on the wire are not the HTTP subset we speak."""
 
 
-async def read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request from ``reader`` (``None`` on a clean EOF)."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise BadRequest("truncated request head") from exc
-    except asyncio.LimitOverrunError as exc:
-        raise BadRequest("request head too large") from exc
+def read_request(rfile: BinaryIO) -> Request | None:
+    """Parse one request from ``rfile`` (``None`` on a clean EOF)."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = rfile.readline(_HEAD_READ_LIMIT - len(head) + 1)
+        if not line:
+            if not head:
+                return None
+            raise BadRequest("truncated request head")
+        head += line
+        if len(head) > _HEAD_READ_LIMIT:
+            raise BadRequest("request head too large")
     if len(head) > MAX_HEADER_BYTES:
         raise BadRequest("request head too large")
 
@@ -108,11 +114,9 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
             raise BadRequest(f"bad Content-Length {length_header!r}") from exc
         if length < 0 or length > MAX_BODY_BYTES:
             raise BadRequest(f"unacceptable Content-Length {length}")
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                raise BadRequest("truncated request body") from exc
+        body = rfile.read(length)
+        if len(body) < length:
+            raise BadRequest("truncated request body")
 
     return Request(method=method, path=path, query=query, headers=headers, body=body)
 

@@ -276,7 +276,7 @@ class Job:
     """One submitted job's mutable service-side record.
 
     All mutation happens under the owning service's lock (state
-    transitions run on job-executor threads); readers take snapshots
+    transitions run on the job-slot threads); readers take snapshots
     via :meth:`to_jsonable`.
     """
 

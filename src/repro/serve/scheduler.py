@@ -2,8 +2,8 @@
 
 One service hosts many tenants; exploration jobs are seconds-to-minutes
 long, so ordering is policy, not an accident of arrival.  The scheduler
-enforces three rules, all thread-safe (submissions arrive on the asyncio
-loop, completions on executor threads):
+enforces three rules, all thread-safe (submissions arrive on connection
+threads, claims and completions on the service's job-slot threads):
 
 * **bounded queues** — each tenant gets a bounded FIFO and the service a
   global bound; an admission over either limit raises
@@ -102,6 +102,8 @@ class FairShareScheduler:
         self._running: dict[str, int] = {}
         self._cursor = 0
         self._lock = threading.Lock()
+        #: Wakes slots blocked in :meth:`take` (shares the one lock).
+        self._ready = threading.Condition(self._lock)
         self._closed = False
 
     # -- admission ------------------------------------------------------
@@ -130,6 +132,7 @@ class FairShareScheduler:
                 merge_budgets(job.spec.budget, self.policy.budget)
             )
             queue.append(job)
+            self._ready.notify()
 
     # -- dispatch -------------------------------------------------------
 
@@ -142,19 +145,34 @@ class FairShareScheduler:
         every claim with :meth:`job_finished`.
         """
         with self._lock:
-            ring = sorted(name for name, q in self._queues.items() if q)
-            if not ring:
-                return None
-            start = self._cursor % len(ring)
-            for step in range(len(ring)):
-                tenant = ring[(start + step) % len(ring)]
-                if self._running.get(tenant, 0) >= self.policy.max_running:
-                    continue
-                job = self._queues[tenant].popleft()
-                self._running[tenant] = self._running.get(tenant, 0) + 1
-                self._cursor = (start + step + 1) % len(ring)
-                return job
+            return self._claim()
+
+    def take(self) -> Job | None:
+        """Block until :meth:`next_job` has a job; ``None`` once draining.
+
+        :meth:`submit` and :meth:`job_finished` each make at most one
+        more claim possible and wake one waiter; :meth:`drain` wakes all.
+        """
+        job = None
+        with self._ready:
+            while not self._closed and (job := self._claim()) is None:
+                self._ready.wait()
+        return job
+
+    def _claim(self) -> Job | None:
+        ring = sorted(name for name, q in self._queues.items() if q)
+        if not ring:
             return None
+        start = self._cursor % len(ring)
+        for step in range(len(ring)):
+            tenant = ring[(start + step) % len(ring)]
+            if self._running.get(tenant, 0) >= self.policy.max_running:
+                continue
+            job = self._queues[tenant].popleft()
+            self._running[tenant] = self._running.get(tenant, 0) + 1
+            self._cursor = (start + step + 1) % len(ring)
+            return job
+        return None
 
     def job_finished(self, tenant: str) -> None:
         """Release one running slot for ``tenant``."""
@@ -164,6 +182,7 @@ class FairShareScheduler:
                 self._running.pop(tenant, None)
             else:
                 self._running[tenant] = count - 1
+            self._ready.notify()
 
     # -- shutdown / introspection --------------------------------------
 
@@ -171,6 +190,7 @@ class FairShareScheduler:
         """Stop admissions and return every still-queued job."""
         with self._lock:
             self._closed = True
+            self._ready.notify_all()
             remaining = [job for q in self._queues.values() for job in q]
             self._queues.clear()
             return remaining

@@ -1,21 +1,23 @@
-"""The exploration service: asyncio front-end over a shared engine pool.
+"""The exploration service: job-slot threads over one shared result store.
 
 ``repro serve`` turns the one-shot CLI into a long-running multi-tenant
 HTTP API (ROADMAP: *serve heavy traffic from a long-lived process*).
 The moving parts:
 
-* **HTTP front-end** — a stdlib asyncio server (:mod:`repro.serve.http`)
-  exposing the REST API under ``/v1``: submit a job, poll it, stream
-  its progress as Server-Sent Events, fetch its result;
+* **HTTP front-end** — a stdlib ``socketserver.ThreadingTCPServer``,
+  one thread per connection, speaking the subset in
+  :mod:`repro.serve.http` and exposing the REST API under ``/v1``:
+  submit a job, poll it, stream its progress as Server-Sent Events,
+  fetch its result;
 * **admission** — a :class:`FairShareScheduler` with bounded per-tenant
   queues (429 on overflow) and per-tenant budget caps;
-* **execution** — a dispatcher coroutine leases jobs onto a
-  ``ThreadPoolExecutor`` of ``--jobs`` slots; each slot borrows a serial
-  :class:`EvaluationEngine` from a lease pool.  Every engine owns its
-  *own* connection to the *shared* result store (``--cache-backend``),
-  so N slots — and M replicas in other processes — deduplicate work
-  through one persistent cache (the WAL-mode SQLite backend makes that
-  safe);
+* **execution** — ``--jobs`` slot threads, each blocked in
+  :meth:`FairShareScheduler.take` until a job is ready.  A slot opens
+  its own serial :class:`EvaluationEngine` with its first job and keeps
+  it; every engine owns its *own* connection to the *shared* result
+  store (``--cache-backend``), so N slots — and M replicas in other
+  processes — deduplicate work through one persistent cache (the
+  WAL-mode SQLite backend makes that safe);
 * **observability** — each job journals its engine's event stream to a
   private :class:`RunJournal` (the SSE source), and per-job engine/cache
   counter deltas are folded into one shared
@@ -23,12 +25,12 @@ The moving parts:
   ``/v1/metrics`` (Prometheus or JSON);
 * **shutdown** — SIGINT/SIGTERM via the existing
   :class:`ShutdownCoordinator`: admissions stop (503), running jobs
-  finish, queued jobs fail honestly, engines flush, and the process
-  exits ``128 + signum``.
+  finish, queued jobs fail honestly, the slots exit and their engines
+  close, and the process exits ``128 + signum``.
 
-Every job state transition happens on the executor thread that runs the
+Every job state transition happens on the slot thread that runs the
 job, guarded by one service lock — so a drain completes correctly even
-after the asyncio loop is torn down by a signal.
+after the listener is shut down by a signal.
 
 API summary (details in ``docs/serve.md``)::
 
@@ -53,19 +55,18 @@ shared filesystem (see ``docs/serve.md`` § HA & failure handling).
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import os
-import queue as queue_module
 import re
+import selectors
 import socket
+import socketserver
 import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from ..engine import (
     EvaluationEngine,
@@ -82,6 +83,7 @@ from ..engine.telemetry import (
     activate_trace,
     mint_span_id,
     parse_traceparent,
+    render_prometheus_snapshot,
 )
 from ..engine.cache_backends import CacheCorruption, CacheUnavailable
 from ..errors import QueueFullError, ReproError, ServeError
@@ -115,17 +117,47 @@ _JOB_PATH_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9._-]+)(/result|/events)?$")
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 
+class _Listener(socketserver.ThreadingTCPServer):
+    """The listening socket; each connection runs on a daemon thread.
+
+    The address family comes from ``getaddrinfo`` (so an IPv6 literal
+    binds), ``SO_REUSEADDR`` is set and the listen backlog is 100.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+    request_queue_size = 100
+    #: ``handle_request()`` runs once select() saw a connection; it must
+    #: not wait for another.
+    timeout = 0
+
+    def __init__(self, service: "ExplorationService", host: str, port: int) -> None:
+        family, _, _, _, address = socket.getaddrinfo(
+            host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+        )[0]
+        self.address_family = family
+        self.service = service
+        super().__init__(address, _Connection)
+
+
+class _Connection(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True  # SSE frames go out as they are written
+
+    def handle(self) -> None:
+        self.server.service._handle_connection(self.rfile, self.wfile)
+
+
 class ExplorationService:
-    """One service instance: scheduler + engine leases + HTTP handlers.
+    """One service instance: scheduler + job slots + HTTP handlers.
 
     Parameters
     ----------
     jobs:
-        Concurrent job slots (executor threads and engine leases).
+        Concurrent job slots, each a thread with its own engine.
     cache_backend:
         Shared result-store spec for :func:`make_backend` (``memory``,
         ``sqlite:<file>``, ``file:<dir>``); ``none`` disables caching.
-        Each engine lease opens its own handle to this store.
+        Each slot's engine opens its own handle to this store.
     serve_dir:
         Directory for per-job journals (a temp dir when omitted).
     tenant_policy / max_total_queued:
@@ -162,30 +194,28 @@ class ExplorationService:
         self._job_counter = 0
         self._state_lock = threading.Lock()
 
-        self._engines: "queue_module.Queue[EvaluationEngine]" = queue_module.Queue()
-        self._engines_created = 0
-        self._engine_lock = threading.Lock()
-        self._all_engines: list[EvaluationEngine] = []
+        self._slots: list[threading.Thread] = []
+        #: Each slot's engine, opened with the slot's first job.
+        self._slot_engines: list[EvaluationEngine | None] = [None] * jobs
 
         #: The service's own handle on the shared store, serving the
         #: /v1/cache API (lazily opened; engines keep separate handles).
         self._store = None
-        self._store_lock = threading.Lock()
 
         #: Journal of /v1/cache API calls that carried a trace context —
         #: the http store backend's half of a distributed trace (lazy;
         #: only written when traced calls actually arrive).
         self._service_journal: RunJournal | None = None
+        #: Guards both lazy opens and the journal's appends: /v1/cache
+        #: requests arrive on concurrent connection threads.
+        self._store_lock = threading.Lock()
 
-        self._executor = ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="repro-serve"
-        )
-        self._inflight = 0
         self._stopping = False
         self._drained = False
 
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
+        self._stop = threading.Event()
+        #: request_stop() writes here to wake the accept loop at once.
+        self._woken, self._waker = socket.socketpair()
         self._ready = threading.Event()
         self._started_at = time.time()
         self.host: str | None = None
@@ -246,40 +276,12 @@ class ExplorationService:
         """
         self.registry.counter(name, help, labels={"tenant": tenant}).inc(n)
 
-    # ------------------------------------------------------------------
-    # engine leases over the shared store
-    # ------------------------------------------------------------------
-
     def _make_engine(self) -> EvaluationEngine:
         spec = self.cache_backend_spec
         cache = None
         if spec not in (None, "none"):
             cache = ResultCache(backend=make_backend(spec))
         return EvaluationEngine(jobs=1, cache=cache)
-
-    def _lease_engine(self) -> EvaluationEngine:
-        """Borrow an engine, creating lazily up to the slot count.
-
-        A store that cannot open fails only the job that leased it: the
-        slot is counted after the engine exists, so the next job retries
-        the open instead of waiting forever for an engine never made.
-        """
-        try:
-            return self._engines.get_nowait()
-        except queue_module.Empty:
-            pass
-        with self._engine_lock:
-            if self._engines_created < self.jobs:
-                engine = self._make_engine()
-                self._engines_created += 1
-                self._all_engines.append(engine)
-                return engine
-        return self._engines.get()
-
-    def _return_engine(self, engine: EvaluationEngine) -> None:
-        if engine.cache is not None:
-            engine.cache.flush()
-        self._engines.put(engine)
 
     # ------------------------------------------------------------------
     # submission
@@ -340,27 +342,33 @@ class ExplorationService:
         return [job.to_jsonable() for job in sorted(jobs, key=lambda j: j.id)]
 
     # ------------------------------------------------------------------
-    # execution (executor threads)
+    # execution (job-slot threads)
     # ------------------------------------------------------------------
 
-    def _guarded_run(self, job: Job) -> None:
-        """Executor entry point: absolutely never lets an exception escape."""
-        try:
-            self._run_job(job)
-        except BaseException as exc:  # noqa: BLE001 - last line of defense
-            with self._state_lock:
-                job.state = FAILED
-                job.error = f"internal error: {exc!r}"
-                job.finished_at = time.time()
-            print(f"serve: job {job.id} crashed: {exc!r}", file=sys.stderr)
-        finally:
-            self.scheduler.job_finished(job.tenant)
-            with self._engine_lock:
-                self._inflight -= 1
-            self._update_gauges()
+    def _slot(self, index: int) -> None:
+        """One job slot: run jobs until the scheduler drains.
 
-    def _run_job(self, job: Job) -> None:
-        engine = self._lease_engine()
+        The slot's engine opens with its first job.  A store that cannot
+        open fails only that job, and the next job retries the open; an
+        exception escaping a job fails that job, never the slot.
+        """
+        while (job := self.scheduler.take()) is not None:
+            self._update_gauges()
+            try:
+                if self._slot_engines[index] is None:
+                    self._slot_engines[index] = self._make_engine()
+                self._run_job(job, self._slot_engines[index])
+            except BaseException as exc:  # noqa: BLE001 - last line of defense
+                with self._state_lock:
+                    job.state = FAILED
+                    job.error = f"internal error: {exc!r}"
+                    job.finished_at = time.time()
+                print(f"serve: job {job.id} crashed: {exc!r}", file=sys.stderr)
+            finally:
+                self.scheduler.job_finished(job.tenant)
+                self._update_gauges()
+
+    def _run_job(self, job: Job, engine: EvaluationEngine) -> None:
         # Every journal line carries the distributed-trace identity: the
         # caller's trace id, the caller's span as parent, and which
         # replica wrote the line (the stitcher's correlation keys).
@@ -484,28 +492,6 @@ class ExplorationService:
                 self._m_cache_stores.inc(cache_deltas.get("stores", 0))
         finally:
             journal.detach()  # idempotent; also closes the file
-            self._return_engine(engine)
-
-    # ------------------------------------------------------------------
-    # dispatch loop (asyncio)
-    # ------------------------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        assert self._loop is not None and self._stop_event is not None
-        while not self._stop_event.is_set():
-            job = None
-            with self._engine_lock:
-                has_capacity = self._inflight < self.jobs
-            if has_capacity:
-                job = self.scheduler.next_job()
-            if job is None:
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(self._stop_event.wait(), timeout=0.02)
-                continue
-            with self._engine_lock:
-                self._inflight += 1
-            self._update_gauges()
-            self._loop.run_in_executor(self._executor, self._guarded_run, job)
 
     def _update_gauges(self) -> None:
         depths = self.scheduler.depths()
@@ -517,31 +503,24 @@ class ExplorationService:
     # HTTP
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _handle_connection(self, rfile: BinaryIO, writer: BinaryIO) -> None:
+        """Answer the one request on a connection (its thread runs this)."""
         try:
             try:
-                request = await read_request(reader)
+                request = read_request(rfile)
             except BadRequest as exc:
                 writer.write(error_response(400, str(exc)))
-                await writer.drain()
                 return
             if request is None:
                 return
-            await self._route(request, writer)
+            self._route(request, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except Exception as exc:  # pragma: no cover - defensive
             with contextlib.suppress(Exception):
                 writer.write(error_response(500, f"internal error: {exc!r}"))
-                await writer.drain()
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
 
-    async def _route(self, request: Request, writer: asyncio.StreamWriter) -> None:
+    def _route(self, request: Request, writer: BinaryIO) -> None:
         path = request.path.rstrip("/") or "/"
 
         if path == "/v1/healthz":
@@ -560,13 +539,16 @@ class ExplorationService:
             )
         elif path == "/v1/metrics":
             self._update_gauges()
+            # Slot threads add series as new tenants appear.
+            with self._metrics_lock:
+                snapshot = self.registry.to_jsonable()
             if request.query_one("format") == "json":
-                writer.write(json_response(200, self.registry.to_jsonable()))
+                writer.write(json_response(200, snapshot))
             else:
                 writer.write(
                     response_bytes(
                         200,
-                        self.registry.render_prometheus(),
+                        render_prometheus_snapshot(snapshot),
                         content_type="text/plain; version=0.0.4",
                     )
                 )
@@ -576,7 +558,7 @@ class ExplorationService:
             self._handle_cache(request, writer, path)
         elif path == "/v1/jobs":
             if request.method == "POST":
-                await self._handle_submit(request, writer)
+                self._handle_submit(request, writer)
             elif request.method == "GET":
                 writer.write(json_response(200, {"jobs": self.job_summaries()}))
             else:
@@ -590,8 +572,7 @@ class ExplorationService:
                 if job is None:
                     writer.write(error_response(404, f"no job {match.group(1)!r}"))
                 elif match.group(2) == "/events":
-                    await self._handle_events(request, writer, job)
-                    return
+                    self._handle_events(request, writer, job)
                 elif match.group(2) == "/result":
                     with self._state_lock:
                         done = job.done
@@ -613,7 +594,6 @@ class ExplorationService:
                         )
                 else:
                     writer.write(json_response(200, job.to_jsonable()))
-        await writer.drain()
 
     # ------------------------------------------------------------------
     # the /v1/cache network-store API
@@ -635,26 +615,27 @@ class ExplorationService:
         engine's ``http:`` backend injects ``traceparent`` with the
         job's span as parent, so the fleet stitcher can attach these
         store calls under the job that made them.  Untraced calls are
-        not journalled.  Runs on the asyncio loop thread only.
+        not journalled.
         """
         trace = parse_traceparent(request.header(TRACEPARENT_HEADER))
         if trace is None:
             return
-        if self._service_journal is None:
-            self._service_journal = RunJournal(
-                self.serve_dir / "service-events.jsonl",
-                context={"replica_id": self.replica_id},
-            )
         key = request.path[len("/v1/cache/"):] if path != "/v1/cache" else None
-        self._service_journal.append(
-            "cache_call",
-            {
-                "method": request.method,
-                "key": key,
-                "trace_id": trace.trace_id,
-                "parent_span_id": trace.span_id,
-            },
-        )
+        with self._store_lock:
+            if self._service_journal is None:
+                self._service_journal = RunJournal(
+                    self.serve_dir / "service-events.jsonl",
+                    context={"replica_id": self.replica_id},
+                )
+            self._service_journal.append(
+                "cache_call",
+                {
+                    "method": request.method,
+                    "key": key,
+                    "trace_id": trace.trace_id,
+                    "parent_span_id": trace.span_id,
+                },
+            )
 
     def _handle_cache(self, request: Request, writer, path: str) -> None:
         """Serve the shared store over HTTP (the ``http:`` backend's peer).
@@ -740,9 +721,7 @@ class ExplorationService:
                 )
             )
 
-    async def _handle_submit(
-        self, request: Request, writer: asyncio.StreamWriter
-    ) -> None:
+    def _handle_submit(self, request: Request, writer: BinaryIO) -> None:
         if self._stopping or self.scheduler.draining:
             writer.write(
                 error_response(
@@ -786,9 +765,7 @@ class ExplorationService:
             )
         )
 
-    async def _handle_events(
-        self, request: Request, writer: asyncio.StreamWriter, job: Job
-    ) -> None:
+    def _handle_events(self, request: Request, writer: BinaryIO, job: Job) -> None:
         """Stream the job's journal as SSE, resuming from Last-Event-ID."""
         after_raw = request.header("last-event-id") or request.query_one("after")
         after_seq = 0
@@ -797,30 +774,25 @@ class ExplorationService:
                 after_seq = max(int(after_raw), 0)
             except ValueError:
                 writer.write(error_response(400, f"bad Last-Event-ID {after_raw!r}"))
-                await writer.drain()
                 return
         writer.write(sse_head())
-        await writer.drain()
         follower = JournalFollower(job.journal_path, after_seq=after_seq)
-        assert self._stop_event is not None
         while True:
             with self._state_lock:
                 done = job.done
             events = follower.poll()
             if events:
                 writer.write("".join(format_sse(e) for e in events).encode("utf-8"))
-                await writer.drain()
             if done and not events:
                 break
-            if self._stop_event.is_set():
+            if self._stop.wait(0.05):
                 break
-            await asyncio.sleep(0.05)
         writer.write(b": stream complete\n\n")
-        await writer.drain()
 
     def stats(self) -> dict[str, Any]:
         """Scheduler depths plus aggregate engine/cache counters."""
         depths = self.scheduler.depths()
+        engines = [engine for engine in self._slot_engines if engine is not None]
         with self._state_lock:
             states: dict[str, int] = {}
             for job in self._jobs.values():
@@ -829,7 +801,7 @@ class ExplorationService:
             "replica_id": self.replica_id,
             "scheduler": depths,
             "jobs_by_state": states,
-            "engines": self._engines_created,
+            "engines": len(engines),
             "backend": str(self.cache_backend_spec),
             "draining": self._stopping,
         }
@@ -837,8 +809,6 @@ class ExplorationService:
         # every engine handle's snapshot so operators (and the chaos
         # harness) can see breaker transitions over the API.
         snapshots = []
-        with self._engine_lock:
-            engines = list(self._all_engines)
         for engine in engines:
             backend = getattr(getattr(engine, "cache", None), "backend", None)
             snapshot = getattr(backend, "stats_snapshot", None)
@@ -853,23 +823,6 @@ class ExplorationService:
     # lifecycle
     # ------------------------------------------------------------------
 
-    async def _serve_async(self, host: str, port: int) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(self._handle_connection, host, port)
-        sockname = server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        dispatcher = asyncio.create_task(self._dispatch_loop())
-        self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            dispatcher.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await dispatcher
-
     def serve_forever(
         self, host: str = "127.0.0.1", port: int = 8023, install_signals: bool = True
     ) -> int:
@@ -877,7 +830,7 @@ class ExplorationService:
 
         ``install_signals=True`` (the CLI path, main thread only) wires
         SIGINT/SIGTERM through a :class:`ShutdownCoordinator`: the first
-        signal interrupts the loop and triggers a graceful drain —
+        signal stops the listener and triggers a graceful drain —
         running jobs finish, queued jobs fail honestly — and the return
         value is ``128 + signum``.  A second signal (after the handlers
         are restored) escalates to immediate termination.
@@ -887,11 +840,31 @@ class ExplorationService:
             coordinator = ShutdownCoordinator().install()
         exit_code = 0
         try:
-            asyncio.run(self._serve_async(host, port))
+            with (
+                _Listener(self, host, port) as server,
+                selectors.DefaultSelector() as selector,
+            ):
+                self.host, self.port = server.server_address[:2]
+                self._slots = [
+                    threading.Thread(
+                        target=self._slot, args=(i,), name=f"repro-serve-slot-{i}",
+                        daemon=True,
+                    )
+                    for i in range(self.jobs)
+                ]
+                for thread in self._slots:
+                    thread.start()
+                selector.register(server, selectors.EVENT_READ)
+                selector.register(self._woken, selectors.EVENT_READ)
+                self._ready.set()
+                while not self._stop.is_set():
+                    if any(key.fileobj is server for key, _ in selector.select()):
+                        server.handle_request()
         except RunInterrupted as exc:
             exit_code = exc.exit_code
+            running = self.scheduler.depths()["running"]
             print(
-                f"serve: {exc}; draining ({self._inflight} running jobs)...",
+                f"serve: {exc}; draining ({running} running jobs)...",
                 file=sys.stderr,
             )
         finally:
@@ -901,17 +874,16 @@ class ExplorationService:
         return exit_code
 
     def request_stop(self) -> None:
-        """Ask the serving loop to stop (thread-safe; used by tests/CLI)."""
-        loop, event = self._loop, self._stop_event
-        if loop is not None and event is not None:
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(event.set)
+        """Ask :meth:`serve_forever` to stop (thread-safe; tests and CLI)."""
+        self._stop.set()
+        with contextlib.suppress(OSError):  # closed once drained
+            self._waker.send(b"\0")
 
     def wait_ready(self, timeout: float = 10.0) -> bool:
         return self._ready.wait(timeout)
 
     def drain(self) -> None:
-        """Stop admissions, let running jobs finish, release engines."""
+        """Stop admissions, let running jobs finish, close the engines."""
         if self._drained:
             return
         self._drained = True
@@ -922,21 +894,24 @@ class ExplorationService:
                     job.state = FAILED
                     job.error = "service shut down before the job started"
                     job.finished_at = time.time()
-        self._executor.shutdown(wait=True)
-        with self._engine_lock:
-            engines, self._all_engines = self._all_engines, []
-        for engine in engines:
-            with contextlib.suppress(Exception):
-                engine.close()
+        for thread in self._slots:
+            thread.join()
+        for i, engine in enumerate(self._slot_engines):
+            self._slot_engines[i] = None
+            if engine is not None:
+                with contextlib.suppress(Exception):
+                    engine.close()
         with self._store_lock:
             store, self._store = self._store, None
+            journal, self._service_journal = self._service_journal, None
         if store is not None:
             with contextlib.suppress(Exception):
                 store.close()
-        journal, self._service_journal = self._service_journal, None
         if journal is not None:
             with contextlib.suppress(Exception):
                 journal.close()
+        self._woken.close()
+        self._waker.close()
         self._update_gauges()
 
     def __enter__(self) -> "ExplorationService":
@@ -950,7 +925,7 @@ class ServiceThread:
     """Run one service on a daemon thread (tests and the benchmark).
 
     Signals are not installed (not the main thread); stop with
-    :meth:`stop`, which requests a loop shutdown and then drains.
+    :meth:`stop`, which requests a shutdown and then drains.
     """
 
     def __init__(

@@ -26,7 +26,6 @@ from repro.engine.telemetry import (
     merge_metric_snapshots,
     mint_span_id,
     parse_traceparent,
-    render_prometheus_snapshot,
     series_key,
 )
 from repro.engine.trace import critical_path
@@ -145,17 +144,6 @@ def test_merge_rejects_kind_mismatch():
     b.gauge("m", "")
     with pytest.raises(ValueError):
         merge_metric_snapshots([a.to_jsonable(), b.to_jsonable()])
-
-
-def test_render_prometheus_snapshot_matches_registry_render():
-    registry = MetricsRegistry()
-    registry.counter("x_total", "a counter").inc(7)
-    registry.counter("x_total", "a counter", labels={"tenant": "t"}).inc(2)
-    registry.histogram("h_seconds", "a histogram").observe(0.02)
-    assert (
-        render_prometheus_snapshot(registry.to_jsonable())
-        == registry.render_prometheus()
-    )
 
 
 # ----------------------------------------------------------------------
