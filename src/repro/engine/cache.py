@@ -44,7 +44,6 @@ back up.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +57,7 @@ from .cache_backends import (
     CacheUnavailable,
     SQLiteBackend,
 )
-from .serialize import simresult_from_jsonable, simresult_to_jsonable
+from .serialize import decode_row, encode_row
 
 #: Default bound on the in-memory tier.
 DEFAULT_MEMORY_ENTRIES = 65_536
@@ -192,8 +191,8 @@ class ResultCache:
                     self._quarantine_row(key, "checksum mismatch")
                 else:
                     try:
-                        result = simresult_from_jsonable(json.loads(value))
-                    except (json.JSONDecodeError, EngineError) as exc:
+                        result = decode_row(value)
+                    except EngineError as exc:
                         self._quarantine_row(key, f"unparseable payload ({exc})")
                     else:
                         self._remember(key, result, store=False)
@@ -216,7 +215,7 @@ class ResultCache:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
         if store and self.backend is not None:
-            value = json.dumps(simresult_to_jsonable(result), separators=(",", ":"))
+            value = encode_row(result)
             try:
                 self.backend.put(key, value, _checksum(value))
             except CacheUnavailable as exc:

@@ -84,7 +84,7 @@ STORAGE_MESSAGES = (
 )
 
 #: Rows a :class:`SQLiteBackend` buffers before it writes them as one group.
-GROUP_COMMIT_ROWS = 256
+GROUP_COMMIT_ROWS = 2048
 
 #: Error-message fragments that mean "locked by a sibling" — retryable.
 BUSY_MESSAGES = ("database is locked", "database is busy", "database table is locked")
@@ -273,9 +273,16 @@ class SQLiteBackend(CacheBackend):
       :meth:`close`, and before ``len``, ``in`` and :meth:`keys`.  Other
       handles see a row only after that write.  No write transaction
       stays open between calls, so a busy lock is met (and retried) at
-      the write.  Rows still buffered when the process dies, or in a
-      group whose write fails, are lost; evaluation is deterministic,
-      so a later run simply recomputes them.
+      the write.  Keys are random digests, so every row dirties its own
+      index page and a larger group writes fewer WAL frames per row.
+      Rows still buffered when the process dies (at most
+      ``GROUP_COMMIT_ROWS - 1``), or in a group whose write fails, are
+      lost; evaluation is deterministic, so a later run simply
+      recomputes them.
+
+    Values are opaque text (packed or JSON rows from
+    :func:`repro.engine.serialize.encode_row`); the backend never
+    parses them.
 
     Connections are created with ``check_same_thread=False`` and every
     operation holds an internal lock, so one backend instance may be

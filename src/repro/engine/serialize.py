@@ -1,7 +1,7 @@
-"""JSON-able encoding of simulation inputs and outputs.
+"""Encodings of simulation inputs and outputs.
 
-The on-disk result cache and the checkpoint files both store plain JSON,
-so the core value types — :class:`~repro.sim.metrics.SimResult` (with its
+The checkpoint files store plain JSON, so the core value types —
+:class:`~repro.sim.metrics.SimResult` (with its
 :class:`~repro.sim.metrics.CpiStack`) and
 :class:`~repro.uarch.config.CoreConfig` (with its
 :class:`~repro.uarch.config.CacheGeometry`) — need faithful round-trip
@@ -11,13 +11,27 @@ so a decoded :class:`SimResult` reports bit-identical IPT.
 Every payload carries a ``"__kind__"`` tag and the encoding version;
 :func:`simresult_from_jsonable` / :func:`config_from_jsonable` refuse
 payloads they do not recognize rather than guessing.
+
+Result-store rows go through :func:`encode_row` / :func:`decode_row`.
+The interval models' result shape (an ``int`` instruction count, a CPI
+stack and the four interval ``detail`` floats) is packed into one
+fixed-width struct, base64 text behind :data:`PACKED_TAG`, followed by
+the workload name; every other shape is stored as the compact JSON of
+:func:`simresult_to_jsonable`.  A row stays a ``str`` either way, so
+backends, checksums and the ``/v1/cache`` wire do not care which it is,
+and stores written in the JSON form stay readable.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import struct
+import sys
+from binascii import a2b_base64, b2a_base64
 from typing import Any, Mapping
 
-from ..errors import EngineError
+from ..errors import EngineError, ReproError
 from ..sim.metrics import CpiStack, SimResult
 from ..uarch.config import CacheGeometry, CoreConfig
 
@@ -127,3 +141,97 @@ def simresult_from_jsonable(payload: Mapping[str, Any]) -> SimResult:
         )
     except (KeyError, TypeError) as exc:
         raise EngineError(f"malformed SimResult payload: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# Result-store rows
+# ----------------------------------------------------------------------
+
+#: First character of a packed row; no JSON text starts with it.
+PACKED_TAG = "~"
+
+#: instructions, cycles, clock period, the 4 CPI-stack terms, then the
+#: 4 interval ``detail`` values in :data:`_DETAIL_KEYS` order.
+_ROW = struct.Struct("<qdd4d4d")
+_DETAIL_KEYS = ("window", "ipc_base", "l1_miss_rate", "l2_global_miss_rate")
+#: Base64 of ``_ROW`` (padding included); the workload name follows it.
+_NAME_START = 1 + len(b2a_base64(bytes(_ROW.size), newline=False))
+_NORMAL_MIN = sys.float_info.min
+_FINITE_MAX = sys.float_info.max
+
+
+def encode_row(result: SimResult) -> str:
+    """One result-store row for ``result``.
+
+    Packed when the result has the interval models' shape and every
+    float is ``+0.0`` or a finite normal number; JSON otherwise (cycle
+    simulator detail, no CPI stack, ``int`` values, a non-ASCII workload
+    name, ``-0.0``, subnormals, ``inf``, ``nan``).
+    """
+    stack = result.cpi_stack
+    detail = result.detail
+    workload = result.workload
+    instructions = result.instructions
+    if (
+        stack is not None
+        and tuple(detail) == _DETAIL_KEYS
+        and type(instructions) is int
+        and workload.isascii()
+    ):
+        values = (
+            result.cycles,
+            result.clock_period_ns,
+            stack.base,
+            stack.branch,
+            stack.l2_access,
+            stack.memory,
+            *detail.values(),
+        )
+        if all(
+            type(v) is float
+            and (
+                _NORMAL_MIN <= abs(v) <= _FINITE_MAX
+                or (v == 0.0 and math.copysign(1.0, v) > 0.0)
+            )
+            for v in values
+        ):
+            try:
+                packed = _ROW.pack(instructions, *values)
+            except struct.error:  # an instruction count beyond int64
+                pass
+            else:
+                text = b2a_base64(packed, newline=False).decode("ascii")
+                return PACKED_TAG + text + workload
+    return json.dumps(simresult_to_jsonable(result), separators=(",", ":"))
+
+
+def decode_row(value: str) -> SimResult:
+    """The :class:`SimResult` of an :func:`encode_row` row, packed or JSON.
+
+    Raises :class:`EngineError` for any row it cannot read back.
+    """
+    try:
+        if value[:1] != PACKED_TAG:
+            return simresult_from_jsonable(json.loads(value))
+        (
+            instructions,
+            cycles,
+            clock_period_ns,
+            base,
+            branch,
+            l2_access,
+            memory,
+            *detail,
+        ) = _ROW.unpack(a2b_base64(value[1:_NAME_START]))
+        return SimResult(
+            workload=value[_NAME_START:],
+            instructions=instructions,
+            cycles=cycles,
+            clock_period_ns=clock_period_ns,
+            cpi_stack=CpiStack(base, branch, l2_access, memory),
+            detail=dict(zip(_DETAIL_KEYS, detail)),
+        )
+    except EngineError:
+        raise
+    except (ValueError, ReproError, struct.error) as exc:
+        raise EngineError(f"unreadable result row ({exc})") from exc

@@ -40,6 +40,8 @@ from repro.engine import (
     ResultCache,
     RetryPolicy,
 )
+from repro.engine.cache import _checksum
+from repro.engine.serialize import PACKED_TAG, decode_row, simresult_to_jsonable
 from repro.explore import AnnealingSchedule, XpScalar
 from repro.characterize.cross import cross_performance
 from repro.errors import EngineError
@@ -258,21 +260,42 @@ def test_map_tasks_exhausting_retries_raise_engine_error(warm_suite):
         _customize_pooled(cache, plan, policy)
 
 
+@pytest.mark.parametrize("row_format", ["json", "packed"])
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_corrupted_cache_row_is_quarantined_and_resimulated(
-    jobs, tmp_path, pairs, clean_results
+    jobs, row_format, tmp_path, pairs, clean_results
 ):
     db = tmp_path / "results.sqlite"
     with EvaluationEngine(jobs=1, cache=ResultCache(db)) as warm:
         assert warm.evaluate_many(pairs) == clean_results
 
     conn = sqlite3.connect(db)
-    (key,) = conn.execute("SELECT key FROM results LIMIT 1").fetchone()
-    conn.execute(
-        "UPDATE results SET value = replace(value, '\"cycles\"', '\"cyc1es\"') "
-        "WHERE key = ?",
-        (key,),
-    )
+    key, value = conn.execute("SELECT key, value FROM results LIMIT 1").fetchone()
+    assert value.startswith(PACKED_TAG)
+    if row_format == "json":
+        # Rewrite the row as a checksummed JSON row (the format older
+        # stores hold), then rename a field inside its text.
+        value = json.dumps(
+            simresult_to_jsonable(decode_row(value)), separators=(",", ":")
+        )
+        conn.execute(
+            "UPDATE results SET value = ?, checksum = ? WHERE key = ?",
+            (value, _checksum(value), key),
+        )
+        conn.execute(
+            "UPDATE results SET value = replace(value, '\"cycles\"', '\"cyc1es\"') "
+            "WHERE key = ?",
+            (key,),
+        )
+    else:
+        # Change one character of the packed payload.
+        flipped = "B" if value[5] == "A" else "A"
+        conn.execute(
+            "UPDATE results SET value = ? WHERE key = ?",
+            (value[:5] + flipped + value[6:], key),
+        )
+    (stored,) = conn.execute("SELECT value FROM results WHERE key = ?", (key,)).fetchone()
+    assert stored != value
     conn.commit()
     conn.close()
 

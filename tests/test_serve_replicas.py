@@ -1,7 +1,7 @@
 """Multi-replica shared-result-store tests — the PR's acceptance bar.
 
-Two service replicas (separate asyncio loops, separate engine pools,
-separate HTTP ports) point at ONE sqlite-WAL store.  A customization
+Two service replicas (separate slot threads and engines, separate HTTP
+ports) point at ONE sqlite-WAL store.  A customization
 job computed by replica A must be served by replica B from the store:
 zero fresh evaluations, bit-identical result.  Same story for the
 directory backend, and for two engines inside one replica.

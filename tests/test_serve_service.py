@@ -132,6 +132,7 @@ def test_malformed_json_body_is_400(live):
     )
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(request)
+    info.value.close()
     assert info.value.code == 400
 
 
@@ -210,6 +211,7 @@ def test_well_formed_raw_request_is_200(live):
 def test_unknown_route_is_404(live):
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(f"http://{live.host}:{live.port}/v2/everything")
+    info.value.close()
     assert info.value.code == 404
 
 
