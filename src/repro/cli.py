@@ -1055,6 +1055,7 @@ def cmd_search_compare(args) -> int:
         budget=_search_budget(args),
         engine=engine,
         restarts=args.restarts,
+        search_batch=args.search_batch,
     )
     text = report.render()
     print(text)

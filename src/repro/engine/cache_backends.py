@@ -52,7 +52,12 @@ from typing import Any, ClassVar, Iterator
 from urllib.parse import quote, urlsplit
 
 from ..errors import EngineError
-from .resilience import CircuitBreaker, RetryPolicy, quarantine_file
+from .resilience import (
+    CircuitBreaker,
+    RetryPolicy,
+    parse_retry_after,
+    quarantine_file,
+)
 from .telemetry import TRACEPARENT_HEADER, current_trace
 
 #: One stored row: the serialized payload and its (optional) checksum.
@@ -863,7 +868,7 @@ class HttpBackend(CacheBackend):
                     last_error = _RemoteUnavailable(f"{method} {path} -> {status}")
                     self.stats["failures"] += 1
                     self.breaker.record_failure(f"status {status}")
-                    retry_after = _parse_retry_after(headers)
+                    retry_after = parse_retry_after(headers) or 0.0
                     if attempt < self.retry.max_retries:
                         delay = max(
                             self.retry.delay_s(path, attempt + 1), retry_after
@@ -1059,14 +1064,3 @@ class HttpBackend(CacheBackend):
 
 #: Sentinel distinguishing "row absent" (a 404) from "no body".
 _MISS = object()
-
-
-def _parse_retry_after(headers: dict) -> float:
-    """Seconds asked for by a ``Retry-After`` header (0.0 when absent)."""
-    for name, value in headers.items():
-        if name.lower() == "retry-after":
-            try:
-                return max(float(value), 0.0)
-            except ValueError:
-                return 0.0
-    return 0.0

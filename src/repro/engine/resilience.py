@@ -6,7 +6,7 @@ ROADMAP's "three weeks of annealing, millions of evaluations" regime —
 will see workers die, tasks wedge, and on-disk state rot.  None of
 those should abort the run, and none of them may change its results.
 
-Three pieces:
+The pieces:
 
 * :class:`RetryPolicy` — per-task timeout, bounded exponential backoff
   with *deterministic* seeded jitter (a replayed run waits the same
@@ -17,7 +17,10 @@ Three pieces:
   wrong-shaped or mislabelled result is treated as a failure, not a
   value);
 * :func:`quarantine_file` — the shared "move it aside and carry on"
-  primitive the cache and checkpoint tiers use for corrupt files.
+  primitive the cache and checkpoint tiers use for corrupt files;
+* :func:`parse_retry_after` — the one reader of an HTTP server's
+  ``Retry-After`` header, for the service client and the ``http:``
+  cache backend (each applies its own cap).
 
 Because the simulator itself is deterministic, a retried evaluation
 returns exactly the value the failed attempt would have: retries,
@@ -138,6 +141,23 @@ class RetryPolicy:
             return 0.0
         unit = unit_draw("backoff", self.seed, key, attempt)
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * unit)
+
+
+def parse_retry_after(headers: dict[str, str]) -> float | None:
+    """Seconds a response's ``Retry-After`` header asks to wait.
+
+    The header name matches in any case; a negative delay reads as 0.
+    ``None`` when the header is absent or not a number of seconds
+    (HTTP dates are not honoured).
+    """
+    for name, value in headers.items():
+        if name.lower() == "retry-after":
+            try:
+                seconds = float(value)
+            except ValueError:
+                return None
+            return None if math.isnan(seconds) else max(seconds, 0.0)
+    return None
 
 
 def validate_result(profile, result: SimResult) -> SimResult:

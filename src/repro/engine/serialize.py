@@ -29,11 +29,14 @@ import math
 import struct
 import sys
 from binascii import a2b_base64, b2a_base64
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..errors import EngineError, ReproError
 from ..sim.metrics import CpiStack, SimResult
 from ..uarch.config import CacheGeometry, CoreConfig
+
+if TYPE_CHECKING:
+    from ..search.base import SearchResult
 
 #: Bump when the serialized shape changes incompatibly.
 FORMAT_VERSION = 1
@@ -97,6 +100,43 @@ def config_from_jsonable(payload: Mapping[str, Any]) -> CoreConfig:
         return CoreConfig(**data)
     except (KeyError, TypeError) as exc:
         raise EngineError(f"malformed CoreConfig payload: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# SearchResult
+# ----------------------------------------------------------------------
+
+
+def search_result_to_jsonable(result: SearchResult) -> dict[str, Any]:
+    """Encode a search over configurations (checkpoints of suites and sweeps).
+
+    Untagged, unlike the value types: the seven keys are the shape every
+    checkpoint has stored since the search result was first persisted.
+    """
+    return {
+        "best_state": config_to_jsonable(result.best_state),
+        "best_score": result.best_score,
+        "evaluations": result.evaluations,
+        "accepted": result.accepted,
+        "rollbacks": result.rollbacks,
+        "history": list(result.history),
+        "stop_reason": result.stop_reason,
+    }
+
+
+def search_result_from_jsonable(payload: Mapping[str, Any]) -> SearchResult:
+    """Inverse of :func:`search_result_to_jsonable` (bit-exact floats)."""
+    from ..search.base import SearchResult  # lazy: the search layer imports the engine
+
+    return SearchResult(
+        best_state=config_from_jsonable(payload["best_state"]),
+        best_score=payload["best_score"],
+        evaluations=payload["evaluations"],
+        accepted=payload["accepted"],
+        rollbacks=payload["rollbacks"],
+        history=list(payload["history"]),
+        stop_reason=payload.get("stop_reason"),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,12 @@
 """xp-scalar: simulated-annealing design-space exploration."""
 
-from ..search.anneal import AnnealingResult, AnnealingSchedule, SimulatedAnnealing
+from ..search.anneal import AnnealingSchedule
 from .moves import MoveGenerator
 from .sweep import ClockSweep, SweepPoint
 from .xpscalar import ExplorationResult, Objective, XpScalar, ipt_objective
 
 __all__ = [
-    "AnnealingResult",
     "AnnealingSchedule",
-    "SimulatedAnnealing",
     "MoveGenerator",
     "ClockSweep",
     "SweepPoint",

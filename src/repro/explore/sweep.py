@@ -22,7 +22,12 @@ import numpy as np
 
 from ..engine import CheckpointManager
 from ..engine.keys import derive_seed, digest, simulator_id
-from ..engine.serialize import config_from_jsonable, config_to_jsonable
+from ..engine.serialize import (
+    config_from_jsonable,
+    config_to_jsonable,
+    search_result_from_jsonable,
+    search_result_to_jsonable,
+)
 from ..search import (
     AnnealingSchedule,
     SearchBudget,
@@ -58,44 +63,24 @@ def _sweep_task(
 
 def _point_to_state(point: SweepPoint) -> dict:
     """Checkpoint encoding of one :class:`SweepPoint`."""
-    search = point.search
     return {
         "clock": point.clock_period_ns,
         "score": point.score,
         "config": config_to_jsonable(point.config),
         "search": None
-        if search is None
-        else {
-            "best_state": config_to_jsonable(search.best_state),
-            "best_score": search.best_score,
-            "evaluations": search.evaluations,
-            "accepted": search.accepted,
-            "rollbacks": search.rollbacks,
-            "history": list(search.history),
-            "stop_reason": search.stop_reason,
-        },
+        if point.search is None
+        else search_result_to_jsonable(point.search),
     }
 
 
 def _point_from_state(state: dict) -> SweepPoint:
     """Inverse of :func:`_point_to_state` (bit-exact for all floats)."""
-    search_state = state.get("search")
-    search = None
-    if search_state is not None:
-        search = SearchResult(
-            best_state=config_from_jsonable(search_state["best_state"]),
-            best_score=search_state["best_score"],
-            evaluations=search_state["evaluations"],
-            accepted=search_state["accepted"],
-            rollbacks=search_state["rollbacks"],
-            history=list(search_state["history"]),
-            stop_reason=search_state.get("stop_reason"),
-        )
+    search = state.get("search")
     return SweepPoint(
         clock_period_ns=state["clock"],
         score=state["score"],
         config=config_from_jsonable(state["config"]),
-        search=search,
+        search=None if search is None else search_result_from_jsonable(search),
     )
 
 

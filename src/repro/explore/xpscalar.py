@@ -36,12 +36,13 @@ from ..engine.keys import derive_seed, digest, simulator_id
 from ..engine.serialize import (
     config_from_jsonable,
     config_to_jsonable,
+    search_result_from_jsonable,
+    search_result_to_jsonable,
     simresult_from_jsonable,
     simresult_to_jsonable,
 )
 from ..errors import ExplorationError
 from ..search import (
-    AnnealingResult,
     AnnealingSchedule,
     SearchBudget,
     SearchDiagnostics,
@@ -114,7 +115,7 @@ class ExplorationResult:
     config: CoreConfig
     score: float
     result: SimResult
-    annealing: AnnealingResult | None = None
+    annealing: SearchResult | None = None
     cross_seeded_from: str | None = None
 
 
@@ -175,38 +176,21 @@ def _result_to_state(result: ExplorationResult) -> dict:
         "cross_seeded_from": result.cross_seeded_from,
         "annealing": None
         if annealing is None
-        else {
-            "best_state": config_to_jsonable(annealing.best_state),
-            "best_score": annealing.best_score,
-            "evaluations": annealing.evaluations,
-            "accepted": annealing.accepted,
-            "rollbacks": annealing.rollbacks,
-            "history": list(annealing.history),
-            "stop_reason": annealing.stop_reason,
-        },
+        else search_result_to_jsonable(annealing),
     }
 
 
 def _result_from_state(state: dict) -> ExplorationResult:
     """Inverse of :func:`_result_to_state` (bit-exact for all floats)."""
-    annealing_state = state.get("annealing")
-    annealing = None
-    if annealing_state is not None:
-        annealing = AnnealingResult(
-            best_state=config_from_jsonable(annealing_state["best_state"]),
-            best_score=annealing_state["best_score"],
-            evaluations=annealing_state["evaluations"],
-            accepted=annealing_state["accepted"],
-            rollbacks=annealing_state["rollbacks"],
-            history=list(annealing_state["history"]),
-            stop_reason=annealing_state.get("stop_reason"),
-        )
+    annealing = state.get("annealing")
     return ExplorationResult(
         workload=state["workload"],
         config=config_from_jsonable(state["config"]),
         score=state["score"],
         result=simresult_from_jsonable(state["result"]),
-        annealing=annealing,
+        annealing=None
+        if annealing is None
+        else search_result_from_jsonable(annealing),
         cross_seeded_from=state.get("cross_seeded_from"),
     )
 
@@ -344,19 +328,15 @@ class XpScalar:
         profile: WorkloadProfile,
         seed: int = 0,
         initial: CoreConfig | None = None,
-        restarts: int = 1,
     ) -> ExplorationResult:
         """Find a customized configuration for one workload.
 
         Starts from Table 3's initial configuration unless given another
         starting point, searches under the configured strategy (the
         paper's annealing by default), and returns the best
-        configuration found (always validated).  With ``restarts`` > 1,
-        independent strategy runs (distinct seeds) compete and the best
-        wins — the cheap insurance against local optima the paper's
-        three-week budget bought with sheer length.  (The
-        ``multistart`` strategy folds this into the search itself and
-        fans restarts through the engine pool.)
+        configuration found (always validated).  Best-of-N restarts are
+        the ``multistart`` strategy, which fans them through the engine
+        pool.
 
         Emits a ``search_run`` convergence-diagnostics event on the
         engine bus (carrying the search's wall time; under a tracing
@@ -367,13 +347,9 @@ class XpScalar:
             with self.engine.events.span(
                 f"customize:{profile.name}", kind="search"
             ):
-                result = self._customize_quiet(
-                    profile, seed=seed, initial=initial, restarts=restarts
-                )
+                result = self._customize_quiet(profile, seed=seed, initial=initial)
         else:
-            result = self._customize_quiet(
-                profile, seed=seed, initial=initial, restarts=restarts
-            )
+            result = self._customize_quiet(profile, seed=seed, initial=initial)
         self._emit_search(result, seconds=time.perf_counter() - started)
         return result
 
@@ -382,7 +358,6 @@ class XpScalar:
         profile: WorkloadProfile,
         seed: int = 0,
         initial: CoreConfig | None = None,
-        restarts: int = 1,
     ) -> ExplorationResult:
         """:meth:`customize` without the diagnostics event.
 
@@ -391,8 +366,6 @@ class XpScalar:
         the returned results so ``jobs=1`` and ``jobs=N`` report the
         same events.
         """
-        if restarts < 1:
-            raise ExplorationError(f"restarts must be >= 1, got {restarts}")
         start = initial or initial_configuration(self.tech)
 
         # Track the SimResult behind the search's best state so the
@@ -435,10 +408,6 @@ class XpScalar:
             evaluate_many=evaluate_many_cfg,
         )
         outcome = self.strategy.run(problem, seed=seed)
-        for extra in range(1, restarts):
-            rerun = self.strategy.run(problem, seed=derive_seed(seed, restart=extra))
-            if rerun.best_score > outcome.best_score:
-                outcome = rerun
         best = outcome.best_state
         validate_config(best, self.tech, self.model)
         if tracked is not None and tracked[1] == best:

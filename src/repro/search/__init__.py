@@ -7,13 +7,7 @@ built-ins (``anneal``, ``multistart``, ``hillclimb``, ``random``);
 strategies stay testable on toy problems.
 """
 
-from .anneal import (
-    AnnealingResult,
-    AnnealingSchedule,
-    AnnealStrategy,
-    MultiStartAnneal,
-    SimulatedAnnealing,
-)
+from .anneal import AnnealingSchedule, AnnealStrategy, MultiStartAnneal
 from .base import (
     BudgetMeter,
     SearchBudget,
@@ -29,7 +23,6 @@ from .base import (
 from .local import HillClimbStrategy, RandomSearchStrategy
 
 __all__ = [
-    "AnnealingResult",
     "AnnealingSchedule",
     "AnnealStrategy",
     "BudgetMeter",
@@ -41,7 +34,6 @@ __all__ = [
     "SearchProblem",
     "SearchResult",
     "SearchStrategy",
-    "SimulatedAnnealing",
     "make_strategy",
     "plateau_length",
     "register_strategy",

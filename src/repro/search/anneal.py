@@ -1,19 +1,20 @@
 """Simulated annealing — the paper's search — as a pluggable strategy.
 
-The generic annealing engine with the paper's rollback rule is one
-strategy among several (``repro.explore`` re-exports its public names
-for the xp-scalar API).  xp-scalar's search (§3) is a simulated-annealing
-process over processor configurations with one distinctive twist: "When
-a configuration is reached for which the IPT is less than half that of
-the optimal configuration, the exploration process rolls back to the
-optimal solution and is continued."  The engine is generic over the
-state type so it can be tested independently of the processor design
-space.
+Annealing with the paper's rollback rule is one strategy among several
+(``repro.explore`` re-exports the schedule for the xp-scalar API).
+xp-scalar's search (§3) is a simulated-annealing process over processor
+configurations with one distinctive twist: "When a configuration is
+reached for which the IPT is less than half that of the optimal
+configuration, the exploration process rolls back to the optimal
+solution and is continued."  The strategy is generic over the state
+type (a :class:`~repro.search.base.SearchProblem` supplies it) so it can
+be tested independently of the processor design space.
 
 Two strategies are defined here:
 
 * :class:`AnnealStrategy` (``anneal``) — one annealing run; the default
-  everywhere, bit-identical to the pre-strategy explorer;
+  everywhere, bit-identical to the pre-strategy explorer at the default
+  neighborhood width of 1;
 * :class:`MultiStartAnneal` (``multistart``) — N independent annealing
   restarts with derived seeds, fanned out through the evaluation
   engine's worker pool when the problem provides a fan-out hook, with
@@ -25,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Generic, TypeVar
 
 import numpy as np
 
 from ..engine.keys import derive_seed
-from ..errors import ExplorationError
+from ..errors import ConfigurationError, ExplorationError, TimingError
 from .base import (
     BudgetMeter,
     SearchBudget,
@@ -39,12 +39,6 @@ from .base import (
     SearchStrategy,
     register_strategy,
 )
-
-State = TypeVar("State")
-
-#: Backwards-compatible alias: the annealer's result shape is now the
-#: shared result shape of every strategy.
-AnnealingResult = SearchResult
 
 
 @dataclass(frozen=True)
@@ -87,135 +81,41 @@ class AnnealingSchedule:
         return self.t_initial * ratio ** (step / (self.iterations - 1))
 
 
-class SimulatedAnnealing(Generic[State]):
-    """Maximize ``evaluate(state)`` by annealed local search.
-
-    Parameters
-    ----------
-    propose:
-        ``(state, rng) -> state`` neighbour generator.  May raise
-        :class:`~repro.errors.TimingError` /
-        :class:`~repro.errors.ConfigurationError` for untenable moves;
-        those proposals are skipped (they still consume an iteration,
-        mirroring a simulation that was not run).
-    evaluate:
-        ``state -> float`` fitness (higher is better, must be positive).
-    schedule:
-        Annealing parameters.
-    """
-
-    def __init__(
-        self,
-        propose: Callable[[State, np.random.Generator], State],
-        evaluate: Callable[[State], float],
-        schedule: AnnealingSchedule | None = None,
-    ) -> None:
-        self._propose = propose
-        self._evaluate = evaluate
-        self._schedule = schedule or AnnealingSchedule()
-
-    def run(
-        self,
-        initial: State,
-        seed: int = 0,
-        budget: SearchBudget | None = None,
-    ) -> SearchResult[State]:
-        """Anneal from ``initial``; deterministic for a given seed.
-
-        With a ``budget``, the run stops at the first exhausted limit
-        (recorded as ``stop_reason``); without one the loop — including
-        every RNG draw — is bit-identical to the pre-budget annealer.
-        """
-        rng = np.random.default_rng(seed)
-        schedule = self._schedule
-        meter = BudgetMeter(budget)
-
-        current = initial
-        current_score = self._evaluate(initial)
-        if current_score <= 0:
-            raise ExplorationError(
-                f"initial state has non-positive score {current_score}"
-            )
-        meter.note_evaluation()
-        best, best_score = current, current_score
-        evaluations = 1
-        accepted = 0
-        rollbacks = 0
-        history = [best_score]
-        stop_reason: str | None = None
-
-        from ..errors import ConfigurationError, TimingError
-
-        for step in range(schedule.iterations):
-            stop_reason = meter.stop_reason()
-            if stop_reason is not None:
-                break
-            try:
-                candidate = self._propose(current, rng)
-            except (TimingError, ConfigurationError):
-                meter.note_move(improved=False)
-                history.append(best_score)
-                continue
-            score = self._evaluate(candidate)
-            evaluations += 1
-            meter.note_evaluation()
-
-            improved = score > best_score
-            if improved:
-                best, best_score = candidate, score
-
-            if score >= current_score or self._accept(
-                score, current_score, best_score, schedule.temperature(step), rng
-            ):
-                current, current_score = candidate, score
-                accepted += 1
-
-            # The paper's rollback rule: a configuration below half the
-            # best-so-far IPT snaps the search back to the best solution.
-            if current_score < schedule.rollback_fraction * best_score:
-                current, current_score = best, best_score
-                rollbacks += 1
-
-            meter.note_move(improved)
-            history.append(best_score)
-
-        return SearchResult(
-            best_state=best,
-            best_score=best_score,
-            evaluations=evaluations,
-            accepted=accepted,
-            rollbacks=rollbacks,
-            history=history,
-            stop_reason=stop_reason,
-        )
-
-    @staticmethod
-    def _accept(
-        score: float,
-        current_score: float,
-        best_score: float,
-        temperature: float,
-        rng: np.random.Generator,
-    ) -> bool:
-        """Metropolis acceptance on the relative score loss."""
-        loss = (current_score - score) / max(best_score, 1e-12)
-        return rng.random() < math.exp(-loss / temperature)
+def metropolis_accept(
+    score: float,
+    current_score: float,
+    best_score: float,
+    temperature: float,
+    rng: np.random.Generator,
+) -> bool:
+    """Metropolis acceptance on the relative score loss."""
+    loss = (current_score - score) / max(best_score, 1e-12)
+    return rng.random() < math.exp(-loss / temperature)
 
 
 @register_strategy
 class AnnealStrategy(SearchStrategy):
     """The paper's simulated annealing, behind the strategy protocol.
 
-    With ``neighborhood=1`` (the default) this is the sequential
-    annealer, bit-identical to the pre-strategy explorer.  With
-    ``neighborhood=N`` each round proposes up to N candidates from the
-    round's starting state, scores them in one ``evaluate_many`` call
-    (the vectorized batch path when the problem provides one), then
-    applies the usual accept/rollback rules to each candidate in
-    proposal order at its own temperature step.  That is a different —
-    still fully deterministic — walk than the sequential chain, so the
-    neighborhood width joins :meth:`identity` whenever it exceeds 1;
-    default run signatures are unchanged.
+    Each round proposes up to ``neighborhood`` candidates from the
+    round's starting state, scores them, then applies the Metropolis
+    accept and the paper's rollback rule to each candidate in proposal
+    order at its own temperature step.  Proposals the timing model
+    rejects (:class:`~repro.errors.TimingError` /
+    :class:`~repro.errors.ConfigurationError`) still consume an
+    iteration, mirroring a simulation that was not run.
+
+    ``neighborhood=1`` (the default) is the paper's sequential walk and
+    scores through ``problem.evaluate``.  A wider neighborhood scores a
+    round in one ``evaluate_many`` call (the vectorized batch path when
+    the problem provides one); that is a different, still fully
+    deterministic, walk, so the width joins :meth:`identity` whenever
+    it exceeds 1 and default run signatures are unchanged.
+
+    ``max_evaluations`` stays exact (a round is clamped to the
+    remaining allowance); ``max_moves``/``plateau_patience`` are checked
+    between rounds, so a wide round may finish past the limit — the
+    budget granularity a batch buys its throughput with.
     """
 
     name = "anneal"
@@ -243,25 +143,6 @@ class AnnealStrategy(SearchStrategy):
         return cls(schedule=schedule, budget=budget, neighborhood=batch)
 
     def run(self, problem: SearchProblem, seed: int = 0) -> SearchResult:
-        if self.neighborhood <= 1:
-            annealer = SimulatedAnnealing(
-                propose=problem.propose,
-                evaluate=problem.evaluate,
-                schedule=self.schedule,
-            )
-            return annealer.run(problem.initial, seed=seed, budget=self.budget)
-        return self._run_batched(problem, seed)
-
-    def _run_batched(self, problem: SearchProblem, seed: int) -> SearchResult:
-        """Neighborhood-batched annealing loop.
-
-        ``max_evaluations`` stays exact (the neighborhood is clamped to
-        the remaining allowance); ``max_moves``/``plateau_patience`` are
-        checked between rounds, so a round may finish past the limit —
-        the budget granularity a batch buys its throughput with.
-        """
-        from ..errors import ConfigurationError, TimingError
-
         rng = np.random.default_rng(seed)
         schedule = self.schedule
         budget = self.budget
@@ -290,26 +171,32 @@ class AnnealStrategy(SearchStrategy):
             width = min(self.neighborhood, iterations - step)
             if budget is not None and budget.max_evaluations is not None:
                 width = min(width, budget.max_evaluations - meter.evaluations)
-            candidates: list[tuple[int, object]] = []
-            for _ in range(width):
+            steps: list[int] = []
+            candidates: list[object] = []
+            for cand_step in range(step, step + width):
                 try:
-                    candidates.append((step, problem.propose(current, rng)))
+                    candidates.append(problem.propose(current, rng))
                 except (TimingError, ConfigurationError):
                     meter.note_move(improved=False)
                     history.append(best_score)
-                step += 1
+                    continue
+                steps.append(cand_step)
+            step += width
             if not candidates:
                 continue
-            scores = self.evaluate_many(
-                problem, [state for _, state in candidates]
+            # A width-1 walk scores through evaluate(): no batch events.
+            scores = (
+                self.evaluate_many(problem, candidates)
+                if self.neighborhood > 1
+                else [problem.evaluate(candidates[0])]
             )
-            for (cand_step, candidate), score in zip(candidates, scores):
+            for cand_step, candidate, score in zip(steps, candidates, scores):
                 evaluations += 1
                 meter.note_evaluation()
                 improved = score > best_score
                 if improved:
                     best, best_score = candidate, score
-                if score >= current_score or SimulatedAnnealing._accept(
+                if score >= current_score or metropolis_accept(
                     score,
                     current_score,
                     best_score,
@@ -318,6 +205,9 @@ class AnnealStrategy(SearchStrategy):
                 ):
                     current, current_score = candidate, score
                     accepted += 1
+                # The paper's rollback rule: a configuration below half
+                # the best-so-far IPT snaps the search back to the best
+                # solution.
                 if current_score < schedule.rollback_fraction * best_score:
                     current, current_score = best, best_score
                     rollbacks += 1

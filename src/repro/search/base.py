@@ -178,10 +178,9 @@ class SearchProblem(Generic[State]):
 class SearchResult(Generic[State]):
     """Outcome of one search run (any strategy).
 
-    The field set is the annealer's historical result shape —
-    :class:`repro.search.anneal.AnnealingResult` is an alias of this
-    class — so checkpoints, the CLI and every downstream consumer handle
-    all strategies uniformly.  ``history`` is the best-score-so-far
+    The field set is the annealer's historical result shape, so
+    checkpoints, the CLI and every downstream consumer handle all
+    strategies uniformly.  ``history`` is the best-score-so-far
     trajectory, one entry per move plus the initial evaluation.
     ``stop_reason`` is ``None`` when the schedule ran to completion, or
     the budget limit that ended the run early.

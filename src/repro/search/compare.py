@@ -145,6 +145,7 @@ def compare_strategies(
     budget: SearchBudget | None = None,
     engine: Any = None,
     restarts: int = 4,
+    search_batch: int = 1,
 ) -> ComparisonReport:
     """Run every strategy over every profile and rank them.
 
@@ -152,6 +153,8 @@ def compare_strategies(
     gets its own :class:`~repro.explore.XpScalar` facade over it.
     Benchmark ``i`` searches under seed ``derive_seed(seed, index=i)``
     for every strategy — same starting stream, different policies.
+    ``search_batch`` is the candidate width of the strategies with a
+    batched mode (``anneal``, ``multistart``, ``hillclimb``).
     """
     from ..explore import AnnealingSchedule, XpScalar  # lazy: explore -> search
 
@@ -175,6 +178,7 @@ def compare_strategies(
             strategy=name,
             budget=budget,
             restarts=restarts,
+            search_batch=search_batch,
         )
         if engine is None:
             engine = xp.engine  # first facade's engine is shared onward

@@ -36,11 +36,17 @@ class HillClimbStrategy(SearchStrategy):
     the lower bound the annealer must beat.  Never rolls back (the
     current state *is* the best state at all times).
 
-    With ``frontier=N`` each round proposes up to N candidates from the
-    current state, scores them in one ``evaluate_many`` call, and climbs
-    to the best strictly-improving candidate (ties to the earliest
-    proposal).  A different deterministic walk than the sequential
-    climb, so the frontier width joins :meth:`identity` when above 1.
+    Each round proposes up to ``frontier`` candidates from the current
+    state, scores them, and climbs to the best strictly-improving
+    candidate (ties to the earliest proposal).  ``frontier=1`` (the
+    default) is the sequential climb and scores through
+    ``problem.evaluate``; a wider frontier scores a round in one
+    ``evaluate_many`` call.  That is a different deterministic walk, so
+    the frontier width joins :meth:`identity` when above 1.
+
+    ``max_evaluations`` stays exact (a round is clamped to the remaining
+    allowance); ``max_moves``/``plateau_patience`` are checked between
+    rounds.
     """
 
     name = "hillclimb"
@@ -68,61 +74,6 @@ class HillClimbStrategy(SearchStrategy):
         return cls(schedule=schedule, budget=budget, frontier=batch)
 
     def run(self, problem: SearchProblem, seed: int = 0) -> SearchResult:
-        if self.frontier > 1:
-            return self._run_frontier(problem, seed)
-        rng = np.random.default_rng(seed)
-        meter = BudgetMeter(self.budget)
-
-        current = problem.initial
-        current_score = problem.evaluate(current)
-        if current_score <= 0:
-            raise ExplorationError(
-                f"initial state has non-positive score {current_score}"
-            )
-        meter.note_evaluation()
-        evaluations = 1
-        accepted = 0
-        history = [current_score]
-        stop_reason: str | None = None
-
-        for _ in range(self.schedule.iterations):
-            stop_reason = meter.stop_reason()
-            if stop_reason is not None:
-                break
-            try:
-                candidate = problem.propose(current, rng)
-            except (TimingError, ConfigurationError):
-                meter.note_move(improved=False)
-                history.append(current_score)
-                continue
-            score = problem.evaluate(candidate)
-            evaluations += 1
-            meter.note_evaluation()
-
-            improved = score > current_score
-            if improved:
-                current, current_score = candidate, score
-                accepted += 1
-            meter.note_move(improved)
-            history.append(current_score)
-
-        return SearchResult(
-            best_state=current,
-            best_score=current_score,
-            evaluations=evaluations,
-            accepted=accepted,
-            rollbacks=0,
-            history=history,
-            stop_reason=stop_reason,
-        )
-
-    def _run_frontier(self, problem: SearchProblem, seed: int) -> SearchResult:
-        """Frontier-batched greedy climb.
-
-        ``max_evaluations`` stays exact (the frontier is clamped to the
-        remaining allowance); ``max_moves``/``plateau_patience`` are
-        checked between rounds.
-        """
         rng = np.random.default_rng(seed)
         budget = self.budget
         meter = BudgetMeter(budget)
@@ -157,7 +108,12 @@ class HillClimbStrategy(SearchStrategy):
                     failures += 1
                 step += 1
             if candidates:
-                scores = self.evaluate_many(problem, candidates)
+                # A width-1 walk scores through evaluate(): no batch events.
+                scores = (
+                    self.evaluate_many(problem, candidates)
+                    if self.frontier > 1
+                    else [problem.evaluate(candidates[0])]
+                )
                 evaluations += len(scores)
                 for _ in scores:
                     meter.note_evaluation()
@@ -166,9 +122,9 @@ class HillClimbStrategy(SearchStrategy):
                 if improved:
                     current, current_score = candidates[best_i], scores[best_i]
                     accepted += 1
-                # One history entry per proposal, like the scalar climb:
-                # the round's winner lands on its own slot, the rest
-                # (and every untenable proposal) carry the running best.
+                # One history entry per proposal: the round's winner lands
+                # on its own slot, the rest (and every untenable
+                # proposal) carry the running best.
                 for i in range(len(scores)):
                     meter.note_move(improved and i == best_i)
                     history.append(current_score)

@@ -27,7 +27,7 @@ from typing import Any, Iterator
 from urllib.parse import urlsplit
 
 from ..engine.keys import derive_seed
-from ..engine.resilience import RetryPolicy
+from ..engine.resilience import RetryPolicy, parse_retry_after
 from ..engine.telemetry import TRACEPARENT_HEADER, TraceContext
 from ..errors import ServeClientError
 
@@ -40,14 +40,9 @@ MAX_RETRY_AFTER_S = 5.0
 
 
 def _retry_after_s(headers: dict[str, str]) -> float | None:
-    """The ``Retry-After`` delay (seconds) a response asked for, if any."""
-    for name, value in headers.items():
-        if name.lower() == "retry-after":
-            try:
-                return min(max(float(value), 0.0), MAX_RETRY_AFTER_S)
-            except ValueError:
-                return None
-    return None
+    """The ``Retry-After`` delay a response asked for, capped, if any."""
+    seconds = parse_retry_after(headers)
+    return None if seconds is None else min(seconds, MAX_RETRY_AFTER_S)
 
 
 class ServeClient:

@@ -157,7 +157,9 @@ class ExplorationService:
     cache_backend:
         Shared result-store spec for :func:`make_backend` (``memory``,
         ``sqlite:<file>``, ``file:<dir>``); ``none`` disables caching.
-        Each slot's engine opens its own handle to this store.
+        Each slot's engine opens its own handle to a persistent store;
+        under ``memory`` each slot keeps only its bounded LRU and the
+        ``/v1/cache`` API has a memory store of its own.
     serve_dir:
         Directory for per-job journals (a temp dir when omitted).
     tenant_policy / max_total_queued:
@@ -280,7 +282,10 @@ class ExplorationService:
         spec = self.cache_backend_spec
         cache = None
         if spec not in (None, "none"):
-            cache = ResultCache(backend=make_backend(spec))
+            backend = make_backend(spec)
+            # A slot's memory backend would be a private, unbounded dict
+            # behind the LRU that nothing else reads: keep the LRU alone.
+            cache = ResultCache(backend=backend if backend.persistent else None)
         return EvaluationEngine(jobs=1, cache=cache)
 
     # ------------------------------------------------------------------

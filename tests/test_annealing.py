@@ -1,10 +1,12 @@
-"""Simulated-annealing engine: convergence, rollback rule, determinism."""
+"""Simulated annealing (the ``anneal`` strategy): convergence, rollback
+rule, determinism."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ExplorationError, TimingError
-from repro.explore import AnnealingResult, AnnealingSchedule, SimulatedAnnealing
+from repro.explore import AnnealingSchedule
+from repro.search import AnnealStrategy, SearchProblem, SearchResult
 
 
 def quadratic_problem():
@@ -17,6 +19,12 @@ def quadratic_problem():
         return max(0.01, 10.0 - (x - 3.0) ** 2)
 
     return propose, evaluate
+
+
+def anneal(propose, evaluate, initial, schedule=None, seed=0):
+    """One ``anneal`` run over a toy problem."""
+    problem = SearchProblem(initial=initial, propose=propose, evaluate=evaluate)
+    return AnnealStrategy(schedule=schedule).run(problem, seed=seed)
 
 
 class TestSchedule:
@@ -42,34 +50,34 @@ class TestSchedule:
 class TestConvergence:
     def test_finds_optimum(self):
         propose, evaluate = quadratic_problem()
-        sa = SimulatedAnnealing(propose, evaluate, AnnealingSchedule(iterations=2000))
-        result = sa.run(-5.0, seed=0)
+        result = anneal(propose, evaluate, -5.0, AnnealingSchedule(iterations=2000))
         assert result.best_score > 9.9
         assert result.best_state == pytest.approx(3.0, abs=0.2)
 
     def test_deterministic(self):
         propose, evaluate = quadratic_problem()
-        sa = SimulatedAnnealing(propose, evaluate, AnnealingSchedule(iterations=500))
-        a = sa.run(0.0, seed=7)
-        b = sa.run(0.0, seed=7)
+        schedule = AnnealingSchedule(iterations=500)
+        a = anneal(propose, evaluate, 0.0, schedule, seed=7)
+        b = anneal(propose, evaluate, 0.0, schedule, seed=7)
         assert a.best_state == b.best_state
         assert a.history == b.history
 
     def test_different_seeds_explore_differently(self):
         propose, evaluate = quadratic_problem()
-        sa = SimulatedAnnealing(propose, evaluate, AnnealingSchedule(iterations=50))
-        assert sa.run(0.0, seed=1).best_state != sa.run(0.0, seed=2).best_state
+        schedule = AnnealingSchedule(iterations=50)
+        first = anneal(propose, evaluate, 0.0, schedule, seed=1)
+        second = anneal(propose, evaluate, 0.0, schedule, seed=2)
+        assert first.best_state != second.best_state
 
     def test_history_is_monotone_best(self):
         propose, evaluate = quadratic_problem()
-        sa = SimulatedAnnealing(propose, evaluate, AnnealingSchedule(iterations=300))
-        history = sa.run(0.0, seed=3).history
+        schedule = AnnealingSchedule(iterations=300)
+        history = anneal(propose, evaluate, 0.0, schedule, seed=3).history
         assert history == sorted(history)
 
     def test_rejects_non_positive_initial_score(self):
-        sa = SimulatedAnnealing(lambda x, rng: x, lambda x: 0.0)
         with pytest.raises(ExplorationError):
-            sa.run(1.0)
+            anneal(lambda x, rng: x, lambda x: 0.0, 1.0)
 
 
 class TestRollback:
@@ -84,12 +92,8 @@ class TestRollback:
         def evaluate(x):
             return max(1e-6, x)
 
-        sa = SimulatedAnnealing(
-            propose,
-            evaluate,
-            AnnealingSchedule(iterations=300, t_initial=5.0, t_final=1.0),
-        )
-        result = sa.run(1.0, seed=0)
+        schedule = AnnealingSchedule(iterations=300, t_initial=5.0, t_final=1.0)
+        result = anneal(propose, evaluate, 1.0, schedule)
         assert result.rollbacks > 0
         assert result.best_score >= 1.0
 
@@ -103,14 +107,14 @@ class TestRollback:
             return x + rng.normal(0, 0.1)
 
         propose_ok, evaluate = quadratic_problem()
-        sa = SimulatedAnnealing(propose, evaluate, AnnealingSchedule(iterations=100))
-        result = sa.run(2.0, seed=1)
+        schedule = AnnealingSchedule(iterations=100)
+        result = anneal(propose, evaluate, 2.0, schedule, seed=1)
         # Half the proposals failed; the run still completes and returns.
-        assert isinstance(result, AnnealingResult)
+        assert isinstance(result, SearchResult)
         assert result.evaluations < 100
 
     def test_accepted_counter(self):
         propose, evaluate = quadratic_problem()
-        sa = SimulatedAnnealing(propose, evaluate, AnnealingSchedule(iterations=200))
-        result = sa.run(0.0, seed=5)
+        schedule = AnnealingSchedule(iterations=200)
+        result = anneal(propose, evaluate, 0.0, schedule, seed=5)
         assert 0 < result.accepted <= 200

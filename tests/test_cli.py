@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -65,6 +67,20 @@ class TestExplorationCommands:
         out = capsys.readouterr().out
         assert "clock sweep: gcc" in out
         assert "0.25" in out and "0.45" in out
+
+
+    def test_search_compare_honours_search_batch(self, tmp_path, capsys):
+        def batches_at(width: int) -> int:
+            metrics = tmp_path / f"metrics{width}.json"
+            assert main([
+                "search-compare", "gzip", "--iterations", "40",
+                "--strategies", "anneal", "hillclimb",
+                "--search-batch", str(width), "--metrics-out", str(metrics),
+            ]) == 0
+            return json.loads(metrics.read_text())["repro_batches_total"]["value"]
+
+        assert batches_at(1) == 0
+        assert batches_at(4) > 0
 
 
 class TestReportCommand:

@@ -5,9 +5,47 @@ import json
 import pytest
 
 from repro.engine import CheckpointManager, EvaluationEngine
+from repro.engine.serialize import (
+    search_result_from_jsonable,
+    search_result_to_jsonable,
+)
 from repro.errors import EngineError
-from repro.explore import AnnealingSchedule, XpScalar
+from repro.explore import AnnealingSchedule, SweepPoint, XpScalar
+from repro.explore.sweep import _point_from_state, _point_to_state
+from repro.explore.xpscalar import (
+    ExplorationResult,
+    _result_from_state,
+    _result_to_state,
+)
+from repro.search import SearchResult
 from repro.workloads import spec2000_profile
+
+#: The checkpoint text of :func:`fixed_search_result`, as suite and
+#: sweep checkpoints have always stored it.
+PINNED_SEARCH_JSON = (
+    '{"best_state": {"__kind__": "CoreConfig", "__version__": 1, '
+    '"clock_period_ns": 0.33, "width": 3, "rob_size": 128, "iq_size": '
+    '64, "lsq_size": 64, "wakeup_latency": 1, "scheduler_depth": 2, '
+    '"lsq_depth": 2, "frontend_stages": 7, "memory_cycles": 172, "l1": '
+    '{"nsets": 256, "assoc": 2, "block_bytes": 64, "latency_cycles": '
+    '4}, "l2": {"nsets": 1024, "assoc": 2, "block_bytes": 128, '
+    '"latency_cycles": 12}, "core_type": "ooo"}, "best_score": '
+    '0.30000000000000004, "evaluations": 7, "accepted": 3, '
+    '"rollbacks": 1, "history": [0.25, 0.25, 0.30000000000000004], '
+    '"stop_reason": "plateau"}'
+)
+
+
+def fixed_search_result(config) -> SearchResult:
+    return SearchResult(
+        best_state=config,
+        best_score=0.1 + 0.2,
+        evaluations=7,
+        accepted=3,
+        rollbacks=1,
+        history=[0.25, 0.25, 0.1 + 0.2],
+        stop_reason="plateau",
+    )
 
 
 @pytest.fixture()
@@ -55,6 +93,28 @@ class TestManager:
         manager.clear()
         assert not manager.exists
         manager.clear()  # idempotent
+
+
+class TestSearchResultCodec:
+    def test_encoding_is_pinned(self, initial_config):
+        encoded = search_result_to_jsonable(fixed_search_result(initial_config))
+        assert json.dumps(encoded) == PINNED_SEARCH_JSON
+
+    def test_round_trip_is_bit_exact(self, initial_config):
+        decoded = search_result_from_jsonable(json.loads(PINNED_SEARCH_JSON))
+        assert decoded == fixed_search_result(initial_config)
+
+    def test_suite_and_sweep_checkpoints_share_the_codec(self, initial_config):
+        search = fixed_search_result(initial_config)
+        sim = XpScalar().evaluate(spec2000_profile("gzip"), initial_config)
+        explored = ExplorationResult("gzip", initial_config, 1.0, sim, annealing=search)
+        point = SweepPoint(0.5, 0.3, initial_config, search=search)
+        suite_state = json.loads(json.dumps(_result_to_state(explored)))
+        sweep_state = json.loads(json.dumps(_point_to_state(point)))
+        assert json.dumps(suite_state["annealing"]) == PINNED_SEARCH_JSON
+        assert json.dumps(sweep_state["search"]) == PINNED_SEARCH_JSON
+        assert _result_from_state(suite_state).annealing == search
+        assert _point_from_state(sweep_state).search == search
 
 
 class TestCustomizeAllResume:

@@ -11,7 +11,11 @@ and compares it against a JSON snapshot in ``tests/golden/``:
   (k, merit) for k in 1..3 and every figure of merit, plus the complete
   ranked ordering of all k=2 combinations;
 * ``surrogate_graphs.json`` — the greedy surrogate-assignment graph
-  (edges, roots, groups, merits) per propagation policy.
+  (edges, roots, groups, merits) per propagation policy;
+* ``search_walks.json`` — the full :class:`~repro.search.SearchResult`
+  of every built-in strategy at search widths 1 and 4, with and without
+  each budget limit, on two SPEC2000 profiles (history, counters, stop
+  reason and best configuration).
 
 A change that shifts any simulated number, exploration decision, merit
 ranking or surrogate choice shows up here as a concrete diff.  When the
@@ -35,7 +39,11 @@ import pytest
 from repro.communal.combination import best_combination
 from repro.communal.merit import MERITS
 from repro.communal.surrogate import Propagation, greedy_surrogates, surrogate_merits
+from repro.engine.serialize import search_result_to_jsonable
 from repro.experiments.pipeline import run_pipeline
+from repro.explore import AnnealingSchedule, XpScalar
+from repro.search import SearchBudget
+from repro.workloads import spec2000_profile
 from repro.workloads.synthetic import (
     branchy,
     compute_kernel,
@@ -54,6 +62,19 @@ TARGET_ROOTS = 2
 
 #: Relative tolerance for float comparison (see module docstring).
 REL_TOL = 1e-9
+
+#: The search-walk grid: every built-in strategy, the sequential and a
+#: batched width, and each budget limit alone.
+WALK_STRATEGIES = ("anneal", "hillclimb", "random", "multistart")
+WALK_WIDTHS = (1, 4)
+WALK_BUDGETS = {
+    "none": None,
+    "max_evaluations": SearchBudget(max_evaluations=60),
+    "max_moves": SearchBudget(max_moves=90),
+    "plateau_patience": SearchBudget(plateau_patience=25),
+}
+WALK_BENCHMARKS = ("gzip", "mcf")
+WALK_ITERATIONS = 120
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +150,28 @@ def build_surrogate_graphs(cross) -> dict:
     return graphs
 
 
+def build_search_walks() -> dict:
+    schedule = AnnealingSchedule(iterations=WALK_ITERATIONS)
+    engine = None  # the first explorer's engine (and cache) is shared
+    walks = {}
+    for strategy in WALK_STRATEGIES:
+        for width in WALK_WIDTHS:
+            for label, budget in WALK_BUDGETS.items():
+                xp = XpScalar(
+                    schedule=schedule,
+                    engine=engine,
+                    strategy=strategy,
+                    budget=budget,
+                    search_batch=width,
+                )
+                engine = xp.engine
+                for bench in WALK_BENCHMARKS:
+                    walk = xp.customize(spec2000_profile(bench), seed=SEED).annealing
+                    key = f"{strategy}/w{width}/{label}/{bench}"
+                    walks[key] = search_result_to_jsonable(walk)
+    return walks
+
+
 ARTIFACTS = {
     "cross_matrix": build_cross_matrix,
     "merit_rankings": build_merit_rankings,
@@ -168,9 +211,7 @@ def assert_matches(actual, expected, path="$"):
         assert actual == expected, f"{path}: {actual!r} != {expected!r}"
 
 
-@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
-def test_golden(artifact, golden_cross, update_golden):
-    built = ARTIFACTS[artifact](golden_cross)
+def check_snapshot(artifact: str, built, update_golden: bool) -> None:
     snapshot = GOLDEN_DIR / f"{artifact}.json"
     if update_golden:
         snapshot.parent.mkdir(parents=True, exist_ok=True)
@@ -182,6 +223,16 @@ def test_golden(artifact, golden_cross, update_golden):
     )
     expected = json.loads(snapshot.read_text())
     assert_matches(built, expected, artifact)
+
+
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_golden(artifact, golden_cross, update_golden):
+    check_snapshot(artifact, ARTIFACTS[artifact](golden_cross), update_golden)
+
+
+def test_search_walks_golden(update_golden):
+    """Every strategy's walk, sequential and batched, is pinned."""
+    check_snapshot("search_walks", build_search_walks(), update_golden)
 
 
 def test_golden_pipeline_is_reproducible(golden_cross):

@@ -173,7 +173,7 @@ class TestUntenableSpaces:
     def test_search_survives_untenable_space(self, tech, model, initial_config):
         """A search over a space with no tenable width neighbour keeps
         skipping proposals and terminates (no infinite loop)."""
-        from repro.search import AnnealingSchedule, SimulatedAnnealing
+        from repro.search import AnnealingSchedule, AnnealStrategy, SearchProblem
 
         space = DesignSpace(widths=(initial_config.width,))
         moves = MoveGenerator(tech, model, space)
@@ -181,12 +181,13 @@ class TestUntenableSpaces:
         def width_only_propose(config, rng):
             return moves.width_move(config, rng)
 
-        annealer = SimulatedAnnealing(
+        problem = SearchProblem(
+            initial=initial_config,
             propose=width_only_propose,
             evaluate=lambda cfg: 1.0,
-            schedule=AnnealingSchedule(iterations=50),
         )
-        result = annealer.run(initial_config, seed=0)
+        strategy = AnnealStrategy(schedule=AnnealingSchedule(iterations=50))
+        result = strategy.run(problem, seed=0)
         assert result.evaluations == 1
         assert result.best_state == initial_config
 

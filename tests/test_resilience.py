@@ -30,7 +30,7 @@ from repro.engine import (
     validate_result,
 )
 from repro.engine.faults import corrupt_result, enact
-from repro.engine.resilience import quarantine_file
+from repro.engine.resilience import parse_retry_after, quarantine_file
 from repro.errors import EngineError
 from repro.sim.metrics import SimResult
 from repro.tech import default_technology
@@ -76,6 +76,25 @@ class TestRetryPolicy:
     def test_invalid_policies_are_rejected(self, kwargs):
         with pytest.raises(EngineError):
             RetryPolicy(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "headers, expected",
+    [
+        ({}, None),
+        ({"Content-Type": "application/json"}, None),
+        ({"Retry-After": "2"}, 2.0),
+        ({"rEtRy-AfTeR": "0.5"}, 0.5),
+        ({"Retry-After": "-3"}, 0.0),
+        ({"Retry-After": "soon"}, None),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None),
+        ({"Retry-After": "nan"}, None),
+    ],
+    ids=["absent", "other-header", "seconds", "mixed-case", "negative",
+         "non-numeric", "http-date", "nan"],
+)
+def test_parse_retry_after(headers, expected):
+    assert parse_retry_after(headers) == expected
 
 
 class TestFaultPlan:

@@ -17,7 +17,6 @@ from repro.search import (
     SearchDiagnostics,
     SearchProblem,
     SearchStrategy,
-    SimulatedAnnealing,
     make_strategy,
     plateau_length,
     register_strategy,
@@ -140,11 +139,6 @@ class TestRegistry:
 
 
 class TestAnnealStrategy:
-    def test_bit_identical_to_raw_annealer(self):
-        raw = SimulatedAnnealing(toy_propose, toy_evaluate, SHORT).run(50, seed=11)
-        via = AnnealStrategy(schedule=SHORT).run(toy_problem(), seed=11)
-        assert via == raw
-
     def test_untenable_proposals_never_loop(self):
         def always_blocked(x, rng):
             raise TimingError("nothing fits")

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationEngine, MemoryBackend
 from repro.errors import ServeClientError
 from repro.serve import ServeClient
 from repro.serve.jobs import JobSpec
@@ -26,6 +26,8 @@ from repro.serve.runner import execute_job
 from repro.serve import service as service_module
 from repro.serve.scheduler import TenantPolicy
 from repro.serve.service import ExplorationService, ServiceThread
+from repro.sim import IntervalSimulator
+from repro.workloads import spec2000_profile
 
 
 @pytest.fixture(scope="module")
@@ -588,3 +590,24 @@ def test_store_that_fails_to_open_fails_only_its_job(tmp_path):
         blocker.unlink()  # the store can open from now on
         second = client.wait(client.submit(dict(SMALL_JOB))["id"], timeout=60)
         assert second["state"] == "completed"
+
+
+def test_memory_mode_slot_cache_stays_at_its_bound(tmp_path, initial_config):
+    """Under ``memory`` a slot keeps only its LRU; ``/v1/cache`` keeps
+    a memory store of its own."""
+    with ExplorationService(
+        jobs=1, cache_backend="memory", serve_dir=tmp_path
+    ) as service:
+        engine = service._make_engine()
+        try:
+            cache = engine.cache
+            assert cache.backend is None
+            cache.max_memory_entries = 100
+            profile = spec2000_profile("gzip")
+            result = IntervalSimulator().evaluate(profile, initial_config)
+            for i in range(1_000):
+                cache.put(f"key{i}", result)
+            assert len(cache) == 100
+        finally:
+            engine.close()
+        assert isinstance(service._store_handle(), MemoryBackend)

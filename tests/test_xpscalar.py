@@ -102,15 +102,3 @@ class TestCustomizeAll:
         assert set(results) == {"gap", "twolf"}
         for r in results.values():
             validate_config(r.config, xp.tech, xp.model)
-
-
-class TestRestarts:
-    def test_restarts_never_worse(self, xp):
-        p = spec2000_profile("twolf")
-        single = xp.customize(p, seed=9, restarts=1)
-        multi = xp.customize(p, seed=9, restarts=3)
-        assert multi.score >= single.score
-
-    def test_restarts_validated(self, xp):
-        with pytest.raises(ExplorationError):
-            xp.customize(spec2000_profile("gcc"), restarts=0)
