@@ -219,13 +219,16 @@ class MemoryBackend(CacheBackend):
 
     Useful to *name* the no-disk configuration in ``--cache-backend``
     specs and to anchor the conformance suite's baseline semantics.
+    With ``max_rows`` it keeps only the most recently used rows.
     """
 
     scheme = "memory"
     persistent = False
 
-    def __init__(self) -> None:
-        self._rows: dict[str, tuple[str, str | None]] = {}
+    def __init__(self, max_rows: int | None = None) -> None:
+        self._rows: OrderedDict[str, tuple[str, str | None]] = OrderedDict()
+        self.max_rows = max_rows
+        self._lock = threading.Lock()
 
     @classmethod
     def from_spec(cls, location: str) -> "MemoryBackend":
@@ -234,13 +237,22 @@ class MemoryBackend(CacheBackend):
         return cls()
 
     def get(self, key: str) -> tuple[str, str | None] | None:
-        return self._rows.get(key)
+        with self._lock:
+            row = self._rows.get(key)
+            if row is not None:
+                self._rows.move_to_end(key)
+            return row
 
     def put(self, key: str, value: str, checksum: str | None) -> None:
-        self._rows[key] = (value, checksum)
+        with self._lock:
+            self._rows[key] = (value, checksum)
+            self._rows.move_to_end(key)
+            if self.max_rows is not None and len(self._rows) > self.max_rows:
+                self._rows.popitem(last=False)
 
     def delete(self, key: str) -> None:
-        self._rows.pop(key, None)
+        with self._lock:
+            self._rows.pop(key, None)
 
     def __len__(self) -> int:
         return len(self._rows)

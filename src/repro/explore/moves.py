@@ -23,33 +23,39 @@ random re-fitting implies:
 
 Every move returns a fully re-fitted, *valid* configuration or raises
 :class:`~repro.errors.TimingError` when the design space offers no
-repair (the annealing engine skips such proposals).
+repair (the annealing engine skips such proposals).  A move re-fits only
+the units (:data:`repro.uarch.fit.UNITS`) whose inputs it changed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 from ..errors import TimingError
 from ..tech import CactiModel, TechnologyNode
-from ..uarch.config import CacheGeometry, CoreConfig, DesignSpace
+from ..uarch.config import CoreConfig, DesignSpace
 from ..uarch.fit import (
-    best_cache_geometry,
+    IQ,
+    L1,
+    L2,
+    LSQ,
+    PORTED,
+    ROB,
+    UNITS,
+    cache_geometry,
     fitting_cache_geometries,
-    max_iq_size,
-    max_lsq_size,
-    max_rob_size,
-    refit_config,
+    refit_units,
 )
 
 _CLOCK_STEP_DOWN = 0.85
 _CLOCK_STEP_UP = 1.18
 
-#: Move weights in ``propose`` order (clock, depth, width, size,
-#: geometry): clock and depth moves are the paper's primary pair.
+_MOVES = ("clock_move", "depth_move", "width_move", "size_move", "geometry_move")
+#: Move weights in ``_MOVES`` order: clock and depth moves are the
+#: paper's primary pair.
 _MOVE_WEIGHTS = (0.30, 0.25, 0.15, 0.15, 0.15)
 #: Their cumulative distribution, normalized exactly as numpy's
 #: ``Generator.choice(n, p=...)`` normalizes it.
@@ -90,18 +96,45 @@ class MoveGenerator:
         self._tech = tech
         self._model = model
         self._space = space
+        #: The last few outputs used or made that are refit fixed points,
+        #: by identity, least recently used first.
+        self._settled: dict[int, CoreConfig] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_settled": {}}  # identities do not travel
 
     def propose(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """One random move; always returns a re-fitted configuration."""
-        moves: tuple[Callable[[CoreConfig, np.random.Generator], CoreConfig], ...] = (
-            self.clock_move,
-            self.depth_move,
-            self.width_move,
-            self.size_move,
-            self.geometry_move,
-        )
-        move = moves[weighted_index(rng, _MOVE_CDF)]
-        return move(config, rng)
+        return getattr(self, _MOVES[weighted_index(rng, _MOVE_CDF)])(config, rng)
+
+    def _refit(
+        self,
+        config: CoreConfig,
+        changes: dict,
+        units: tuple,
+        rng: np.random.Generator | None = None,
+    ) -> CoreConfig:
+        """``config`` with a move's ``changes``, re-fitting ``units``: a
+        full refit, as the other units of a fixed point refit to
+        themselves.  Any other ``config`` (the initial state, a donor, a
+        decoded checkpoint) gets every unit re-fitted."""
+        settled = self._settled
+        if settled.pop(id(config), None) is config:
+            settled[id(config)] = config
+        else:
+            units = UNITS
+        fields = {**config.__dict__, **changes}
+        if ("l1" in changes or "l2" in changes) and (
+            fields["l2"].capacity_bytes < fields["l1"].capacity_bytes
+        ):
+            type(config)(**fields)  # the new geometry broke L2 >= L1: raise it
+        fixed_point = refit_units(fields, units, self._tech, self._model, self._space, rng)
+        result = type(config).fitted(fields)
+        if fixed_point:
+            settled[id(result)] = result
+            if len(settled) > 8:  # a walk moves from one of its last few states
+                del settled[next(iter(settled))]
+        return result
 
     # ------------------------------------------------------------------
     # individual moves
@@ -116,70 +149,14 @@ class MoveGenerator:
         )
         if abs(clock - config.clock_period_ns) < 1e-6:
             raise TimingError("clock move hit the clock-range boundary")
-        return refit_config(
-            config.replace(clock_period_ns=clock),
-            self._tech,
-            self._model,
-            self._space,
-            rng=rng,
-        )
+        return self._refit(config, {"clock_period_ns": clock}, UNITS, rng)
 
     def depth_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Re-pipeline one unit by one stage and re-size it."""
-        unit = pick(rng, ("iq", "scheduler", "lsq", "l1", "l2"))
+        unit = pick(rng, UNITS)
         delta = pick(rng, (-1, 1))
-        space = self._space
-        clock = config.clock_period_ns
-
-        if unit == "iq":
-            latency = config.wakeup_latency + delta
-            if not 0 <= latency <= space.max_wakeup_latency:
-                raise TimingError("wake-up latency move out of range")
-            size = max_iq_size(
-                self._model, self._tech, clock, 1 + latency, config.width, space
-            )
-            if size is None:
-                raise TimingError("no issue queue fits the new wake-up depth")
-            changed = config.replace(
-                wakeup_latency=latency, iq_size=min(size, config.rob_size)
-            )
-        elif unit == "scheduler":
-            depth = config.scheduler_depth + delta
-            if not 1 <= depth <= space.max_scheduler_depth:
-                raise TimingError("scheduler depth move out of range")
-            size = max_rob_size(self._model, self._tech, clock, depth, config.width, space)
-            if size is None:
-                raise TimingError("no ROB fits the new scheduler depth")
-            changed = config.replace(
-                scheduler_depth=depth,
-                rob_size=size,
-                iq_size=min(config.iq_size, size),
-            )
-        elif unit == "lsq":
-            depth = config.lsq_depth + delta
-            if not 1 <= depth <= space.max_lsq_depth:
-                raise TimingError("LSQ depth move out of range")
-            size = max_lsq_size(self._model, self._tech, clock, depth, space)
-            if size is None:
-                raise TimingError("no LSQ fits the new depth")
-            changed = config.replace(lsq_depth=depth, lsq_size=size)
-        else:
-            level = 1 if unit == "l1" else 2
-            cache = config.l1 if level == 1 else config.l2
-            cycles = cache.latency_cycles + delta
-            cap = space.max_l1_cycles if level == 1 else space.max_l2_cycles
-            if not 1 <= cycles <= cap:
-                raise TimingError("cache latency move out of range")
-            geometry = best_cache_geometry(
-                self._model, self._tech, clock, cycles, space, level, rng=rng
-            )
-            if geometry is None:
-                raise TimingError(f"no L{level} geometry fits {cycles} cycles")
-            changed = (
-                config.replace(l1=geometry) if level == 1 else config.replace(l2=geometry)
-            )
-
-        return refit_config(changed, self._tech, self._model, self._space, rng=None)
+        changes = unit.deepen(config, delta, self._tech, self._model, self._space, rng)
+        return self._refit(config, changes, (unit,))
 
     def width_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Widen or narrow the machine and re-fit the ported structures."""
@@ -187,68 +164,25 @@ class MoveGenerator:
         width = config.width + delta
         if width not in self._space.widths:
             raise TimingError("width move out of range")
-        return refit_config(
-            config.replace(width=width), self._tech, self._model, self._space, rng=None
-        )
+        return self._refit(config, {"width": width}, PORTED)
 
     def size_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Re-size one buffer to a random legal size within its budget."""
-        unit = pick(rng, ("rob", "iq", "lsq"))
-        space = self._space
-        clock = config.clock_period_ns
-
-        if unit == "rob":
-            cap = max_rob_size(
-                self._model, self._tech, clock, config.scheduler_depth, config.width, space
-            )
-            choices = [s for s in space.rob_sizes if cap is not None and s <= cap]
-            if not choices:
-                raise TimingError("no legal ROB size")
-            size = pick(rng, choices)
-            changed = config.replace(rob_size=size, iq_size=min(config.iq_size, size))
-        elif unit == "iq":
-            cap = max_iq_size(
-                self._model,
-                self._tech,
-                clock,
-                1 + config.wakeup_latency,
-                config.width,
-                space,
-            )
-            choices = [
-                s
-                for s in space.iq_sizes
-                if cap is not None and s <= min(cap, config.rob_size)
-            ]
-            if not choices:
-                raise TimingError("no legal issue queue size")
-            changed = config.replace(iq_size=pick(rng, choices))
-        else:
-            cap = max_lsq_size(self._model, self._tech, clock, config.lsq_depth, space)
-            choices = [s for s in space.lsq_sizes if cap is not None and s <= cap]
-            if not choices:
-                raise TimingError("no legal LSQ size")
-            changed = config.replace(lsq_size=pick(rng, choices))
-
-        return refit_config(changed, self._tech, self._model, self._space, rng=None)
+        unit = pick(rng, (ROB, IQ, LSQ))
+        choices = unit.fitting_sizes(config, self._tech, self._model, self._space)
+        if not choices:
+            raise TimingError(f"no legal {unit.label} size")
+        # The new size fits the unit's depth: only the IQ <= ROB bound moves.
+        return self._refit(config, {unit.size_field: pick(rng, choices)}, ())
 
     def geometry_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Randomly re-pick one cache's geometry within its cycle budget."""
-        level = pick(rng, (1, 2))
-        cache = config.l1 if level == 1 else config.l2
+        unit = pick(rng, (L1, L2))
+        cycles = getattr(config, unit.name).latency_cycles
         fitting = fitting_cache_geometries(
-            self._model,
-            self._tech,
-            config.clock_period_ns,
-            cache.latency_cycles,
-            self._space,
-            level,
+            self._model, self._tech, config.clock_period_ns, cycles, self._space, unit.level
         )
         if not fitting:
-            raise TimingError(f"no L{level} geometry fits the current cycles")
-        nsets, assoc, block = fitting[int(rng.integers(0, len(fitting)))]
-        geometry = CacheGeometry(
-            nsets=nsets, assoc=assoc, block_bytes=block, latency_cycles=cache.latency_cycles
-        )
-        changed = config.replace(l1=geometry) if level == 1 else config.replace(l2=geometry)
-        return refit_config(changed, self._tech, self._model, self._space, rng=None)
+            raise TimingError(f"no L{unit.level} geometry fits the current cycles")
+        geometry = cache_geometry(*fitting[int(rng.integers(0, len(fitting)))], cycles)
+        return self._refit(config, {unit.name: geometry}, (unit,))

@@ -54,7 +54,7 @@ from ..search import (
 from ..sim.interval import IntervalSimulator
 from ..sim.metrics import SimResult
 from ..tech import CactiModel, TechnologyNode, default_technology
-from ..uarch.config import CoreConfig, DesignSpace, initial_configuration, validate_config
+from ..uarch import CoreConfig, DesignSpace, initial_configuration, validate_config
 from ..workloads.profile import WorkloadProfile
 from .moves import MoveGenerator
 

@@ -70,6 +70,7 @@ from typing import Any, BinaryIO
 
 from ..engine import (
     EvaluationEngine,
+    MemoryBackend,
     MetricsRegistry,
     ResultCache,
     RunInterrupted,
@@ -115,6 +116,9 @@ _ENGINE_DELTA_KEYS = (
 _JOB_PATH_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9._-]+)(/result|/events)?$")
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+
+#: Rows the ``/v1/cache`` store keeps under a ``memory`` spec (LRU).
+MEMORY_STORE_ROWS = 65_536
 
 
 class _Listener(socketserver.ThreadingTCPServer):
@@ -611,6 +615,8 @@ class ExplorationService:
         with self._store_lock:
             if self._store is None:
                 self._store = make_backend(self.cache_backend_spec)
+                if isinstance(self._store, MemoryBackend):
+                    self._store.max_rows = MEMORY_STORE_ROWS
             return self._store
 
     def _journal_cache_call(self, request: Request, path: str) -> None:

@@ -15,21 +15,16 @@ from .config import (
     derived_frontend_stages,
     derived_memory_cycles,
     initial_configuration,
-    unit_budgets_ns,
-    unit_delays_ns,
-    validate_config,
 )
 from .fit import (
     best_cache_geometry,
     fitting_cache_geometries,
     fits,
     max_fitting,
-    max_iq_size,
-    max_lsq_size,
-    max_rob_size,
     min_cache_cycles,
     min_stages,
     refit_config,
+    validate_config,
 )
 
 __all__ = [
@@ -46,16 +41,11 @@ __all__ = [
     "derived_frontend_stages",
     "derived_memory_cycles",
     "initial_configuration",
-    "unit_budgets_ns",
-    "unit_delays_ns",
     "validate_config",
     "best_cache_geometry",
     "fitting_cache_geometries",
     "fits",
     "max_fitting",
-    "max_iq_size",
-    "max_lsq_size",
-    "max_rob_size",
     "min_cache_cycles",
     "min_stages",
     "refit_config",

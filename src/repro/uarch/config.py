@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..tech import CactiModel, TechnologyNode
-from ..tech.unitdelay import issue_queue_ns, l1_cache_ns, l2_cache_ns, lsq_ns, regfile_ns
+from ..tech import TechnologyNode
 from ..units import KB, MB, format_size, is_power_of_two
 
 #: Legal core types.  ``"ooo"`` is the paper's out-of-order superscalar
@@ -41,6 +40,10 @@ class CacheGeometry:
     assoc: int
     block_bytes: int
     latency_cycles: int
+
+    #: Fits and moves share one object per geometry (``fit.cache_geometry``):
+    #: encode each one's canonical JSON, a key fragment, once.
+    __canonical_memo__ = True
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.nsets):
@@ -146,6 +149,23 @@ class CoreConfig:
         """A copy with the given fields replaced (validation re-runs)."""
         return type(self)(**{**self.__dict__, **changes})
 
+    @classmethod
+    def fitted(cls, fields: dict) -> "CoreConfig":
+        """A configuration whose attribute dict is ``fields`` (pass a new
+        one), checking only what a refit or move can break: the couplings
+        and the minimums a design space could undercut (a failure runs
+        the full validation)."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "__dict__", fields)
+        if not (
+            8 <= fields["iq_size"] <= fields["rob_size"]
+            and fields["l2"].capacity_bytes >= fields["l1"].capacity_bytes
+            and fields["lsq_size"] >= 8
+            and fields["width"] >= 1
+        ):
+            config.__post_init__()
+        return config
+
     @property
     def is_inorder(self) -> bool:
         """True for the in-order core type."""
@@ -246,106 +266,6 @@ def derived_memory_cycles(
     return l2_latency_cycles + max(
         1, math.ceil(tech.memory_latency_ns / clock_period_ns - 1e-9)
     )
-
-
-def unit_delays_ns(model: CactiModel, config: CoreConfig) -> dict[str, float]:
-    """Access time of every sized unit of a configuration (ns)."""
-    return {
-        "l1": l1_cache_ns(model, config.l1.nsets, config.l1.assoc, config.l1.block_bytes),
-        "l2": l2_cache_ns(model, config.l2.nsets, config.l2.assoc, config.l2.block_bytes),
-        "issue_queue": issue_queue_ns(model, config.iq_size, config.width),
-        "regfile": regfile_ns(model, config.rob_size, config.width),
-        "lsq": lsq_ns(model, config.lsq_size),
-    }
-
-
-def unit_budgets_ns(tech: TechnologyNode, config: CoreConfig) -> dict[str, float]:
-    """Stage budget of every sized unit (ns): stages x (clock - latch)."""
-    clk = config.clock_period_ns
-    return {
-        "l1": tech.budget(clk, config.l1.latency_cycles),
-        "l2": tech.budget(clk, config.l2.latency_cycles),
-        "issue_queue": tech.budget(clk, 1 + config.wakeup_latency),
-        "regfile": tech.budget(clk, config.scheduler_depth),
-        "lsq": tech.budget(clk, config.lsq_depth),
-    }
-
-
-def validate_config(
-    config: CoreConfig,
-    tech: TechnologyNode,
-    model: CactiModel | None = None,
-    space: DesignSpace | None = None,
-) -> None:
-    """Raise :class:`ConfigurationError` unless the configuration is legal.
-
-    Checks the paper's fitting rule for every sized unit, the front-end
-    and memory cycle derivations, the clock range, and (optionally) the
-    design-space parameter ranges.
-    """
-    model = model or CactiModel.shared(tech)
-    if not tech.min_clock_ns <= config.clock_period_ns <= tech.max_clock_ns:
-        raise ConfigurationError(
-            f"clock {config.clock_period_ns} ns outside "
-            f"[{tech.min_clock_ns}, {tech.max_clock_ns}]"
-        )
-    delays = unit_delays_ns(model, config)
-    budgets = unit_budgets_ns(tech, config)
-    for unit, delay in delays.items():
-        if delay > budgets[unit] + 1e-9:
-            raise ConfigurationError(
-                f"unit {unit} needs {delay:.3f} ns but its budget is "
-                f"{budgets[unit]:.3f} ns "
-                f"(clock {config.clock_period_ns:.2f} ns)"
-            )
-    if config.frontend_stages < derived_frontend_stages(tech, config.clock_period_ns):
-        raise ConfigurationError(
-            f"front end needs >= "
-            f"{derived_frontend_stages(tech, config.clock_period_ns)} stages "
-            f"at clock {config.clock_period_ns:.2f} ns, got {config.frontend_stages}"
-        )
-    min_mem = derived_memory_cycles(tech, config.clock_period_ns, config.l2.latency_cycles)
-    if config.memory_cycles < min_mem:
-        raise ConfigurationError(
-            f"memory needs >= {min_mem} cycles at clock "
-            f"{config.clock_period_ns:.2f} ns, got {config.memory_cycles}"
-        )
-    if space is not None:
-        _validate_ranges(config, space)
-
-
-def _validate_ranges(config: CoreConfig, space: DesignSpace) -> None:
-    checks = (
-        ("width", config.width, space.widths),
-        ("rob_size", config.rob_size, space.rob_sizes),
-        ("iq_size", config.iq_size, space.iq_sizes),
-        ("lsq_size", config.lsq_size, space.lsq_sizes),
-    )
-    for label, value, legal in checks:
-        if value not in legal:
-            raise ConfigurationError(f"{label}={value} not in design space {legal}")
-    if (config.l1.nsets, config.l1.assoc, config.l1.block_bytes) not in set(
-        space.l1_geometries()
-    ):
-        raise ConfigurationError(f"L1 geometry {config.l1.describe()} not in design space")
-    if (config.l2.nsets, config.l2.assoc, config.l2.block_bytes) not in set(
-        space.l2_geometries()
-    ):
-        raise ConfigurationError(f"L2 geometry {config.l2.describe()} not in design space")
-    if config.wakeup_latency > space.max_wakeup_latency:
-        raise ConfigurationError(
-            f"wakeup latency {config.wakeup_latency} exceeds "
-            f"{space.max_wakeup_latency}"
-        )
-    if config.scheduler_depth > space.max_scheduler_depth:
-        raise ConfigurationError(
-            f"scheduler depth {config.scheduler_depth} exceeds "
-            f"{space.max_scheduler_depth}"
-        )
-    if config.lsq_depth > space.max_lsq_depth:
-        raise ConfigurationError(
-            f"LSQ depth {config.lsq_depth} exceeds {space.max_lsq_depth}"
-        )
 
 
 def initial_configuration(tech: TechnologyNode) -> CoreConfig:

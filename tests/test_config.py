@@ -10,10 +10,9 @@ from repro.uarch import (
     derived_frontend_stages,
     derived_memory_cycles,
     initial_configuration,
-    unit_budgets_ns,
-    unit_delays_ns,
     validate_config,
 )
+from repro.uarch.fit import UNITS
 from repro.units import KB
 
 
@@ -104,10 +103,10 @@ class TestValidation:
             validate_config(bad, tech, model, space)
 
     def test_budgets_cover_delays_when_valid(self, tech, model, initial_config):
-        delays = unit_delays_ns(model, initial_config)
-        budgets = unit_budgets_ns(tech, initial_config)
-        for unit, delay in delays.items():
-            assert delay <= budgets[unit] + 1e-9, unit
+        clock = initial_config.clock_period_ns
+        for unit in UNITS:
+            delay = unit.delay_of(model, initial_config)
+            assert delay <= tech.budget(clock, unit.stages_of(initial_config)) + 1e-9, unit
 
 
 class TestDerived:

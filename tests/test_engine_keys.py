@@ -184,6 +184,15 @@ class TestCanonicalJson:
             nested = {"config": odd, "holder": _Holder(odd, (value,))}
             assert canonical_json(nested) == _reference_json(nested)
 
+    def test_remembered_geometries_encode_by_identity(self, initial_config):
+        """A cache geometry's JSON is remembered per object, so an equal
+        geometry holding a float encodes as itself, not as the int one."""
+        geometry = initial_config.l1
+        assert canonical_json(geometry) == canonical_json(geometry)
+        twin = dataclasses.replace(geometry, assoc=float(geometry.assoc))
+        assert twin == geometry
+        assert canonical_json(twin) == _reference_json(twin) != canonical_json(geometry)
+
     def test_default_fields_are_omitted(self, initial_config):
         assert '"core_type"' not in canonical_json(initial_config)
         assert '"core_type":"inorder"' in canonical_json(

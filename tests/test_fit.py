@@ -15,14 +15,12 @@ from repro.uarch import (
     fits,
     initial_configuration,
     max_fitting,
-    max_iq_size,
-    max_lsq_size,
-    max_rob_size,
     min_cache_cycles,
     min_stages,
     refit_config,
     validate_config,
 )
+from repro.uarch.fit import IQ, LSQ, ROB
 
 
 class TestPrimitives:
@@ -46,7 +44,7 @@ class TestPrimitives:
 
 class TestUnitSizers:
     def test_iq_fit_consistent_with_delay(self, model, tech, space):
-        size = max_iq_size(model, tech, 0.33, stages=2, width=4, space=space)
+        size = IQ.largest(model, tech, 0.33, 2, 4, space)
         assert size is not None
         budget = tech.budget(0.33, 2)
         assert issue_queue_ns(model, size, 4) <= budget + 1e-9
@@ -55,19 +53,19 @@ class TestUnitSizers:
             assert issue_queue_ns(model, min(bigger), 4) > budget
 
     def test_rob_shrinks_with_width(self, model, tech, space):
-        narrow = max_rob_size(model, tech, 0.33, 2, width=2, space=space)
-        wide = max_rob_size(model, tech, 0.33, 2, width=8, space=space)
+        narrow = ROB.largest(model, tech, 0.33, 2, 2, space)
+        wide = ROB.largest(model, tech, 0.33, 2, 8, space)
         assert narrow is not None and wide is not None
         assert wide <= narrow
 
     def test_rob_grows_with_stages(self, model, tech, space):
-        shallow = max_rob_size(model, tech, 0.25, 1, width=3, space=space)
-        deep = max_rob_size(model, tech, 0.25, 3, width=3, space=space)
+        shallow = ROB.largest(model, tech, 0.25, 1, 3, space)
+        deep = ROB.largest(model, tech, 0.25, 3, 3, space)
         if shallow is not None:
             assert deep is not None and deep >= shallow
 
     def test_lsq_fit(self, model, tech, space):
-        size = max_lsq_size(model, tech, 0.33, stages=2, space=space)
+        size = LSQ.largest(model, tech, 0.33, 2, 0, space)
         assert size in space.lsq_sizes
 
 
@@ -228,14 +226,14 @@ class TestTablesMatchBruteForce:
         reference = CactiModel(tech)
         for clock in _clock_grid(tech, reference, space):
             for stages in range(1, 5):
-                assert max_lsq_size(model, tech, clock, stages, space) == (
+                assert LSQ.largest(model, tech, clock, stages, 0, space) == (
                     _reference_max_lsq(reference, tech, clock, stages, space)
                 )
                 for width in space.widths:
-                    assert max_iq_size(model, tech, clock, stages, width, space) == (
+                    assert IQ.largest(model, tech, clock, stages, width, space) == (
                         _reference_max_iq(reference, tech, clock, stages, width, space)
                     )
-                    assert max_rob_size(model, tech, clock, stages, width, space) == (
+                    assert ROB.largest(model, tech, clock, stages, width, space) == (
                         _reference_max_rob(reference, tech, clock, stages, width, space)
                     )
 
@@ -255,5 +253,5 @@ class TestTablesMatchBruteForce:
     def test_tables_are_built_on_first_use(self, space, tech):
         model = CactiModel(tech)
         assert model.fit_tables == {}
-        max_iq_size(model, tech, 0.33, 2, space.widths[0], space)
+        IQ.largest(model, tech, 0.33, 2, space.widths[0], space)
         assert len(model.fit_tables) == 1

@@ -19,6 +19,7 @@ from repro.engine.cache_backends import (
     CacheCorruption,
     CacheUnavailable,
     HttpBackend,
+    MemoryBackend,
     make_backend,
 )
 from repro.engine.resilience import (
@@ -55,6 +56,34 @@ def test_make_backend_parses_http_urls(server):
     assert isinstance(backend, HttpBackend)
     assert backend.describe() == server.base_url
     backend.close()
+
+
+def test_memory_store_keeps_only_its_most_recent_rows(tmp_path, monkeypatch):
+    """1,000 puts into a ``memory`` service's ``/v1/cache`` leave only
+    the bound's worth of rows: the least recently used are evicted."""
+    from repro.serve import service as service_module
+
+    monkeypatch.setattr(service_module, "MEMORY_STORE_ROWS", 100)
+    service = ExplorationService(jobs=1, cache_backend="memory", serve_dir=tmp_path)
+    with ServiceThread(service) as thread:
+        backend = fast_backend(thread.base_url)
+        for i in range(1_000):
+            backend.put(f"key{i}", f"value{i}", None)
+        store = service._store_handle()
+        assert len(store) == 100
+        assert backend.get("key999") == ("value999", None)
+        assert backend.get("key0") is None
+        assert sorted(backend.keys()) == sorted(f"key{i}" for i in range(900, 1_000))
+        backend.close()
+
+
+def test_memory_backend_evicts_least_recently_used():
+    store = MemoryBackend(max_rows=2)
+    store.put("a", "1", None)
+    store.put("b", "2", None)
+    assert store.get("a") == ("1", None)
+    store.put("c", "3", None)
+    assert sorted(store.keys()) == ["a", "c"]
 
 
 def test_hostile_keys_round_trip(server):
