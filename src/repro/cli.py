@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-backend", default="memory", metavar="SPEC",
         help="shared result store: 'memory', 'sqlite:<file>', "
-             "'file:<dir>', or 'none' (default: memory; use one "
+             "'http://host:port', or 'none' (default: memory; use one "
              "sqlite:<file> across replicas to share results)",
     )
     p.add_argument(
@@ -533,51 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "default human lines surface trace ids)")
     client_sub.add_parser("list", help="every job the service knows")
     client_sub.add_parser("health", help="service liveness")
-
-    p = sub.add_parser(
-        "chaos",
-        help="network-chaos acceptance run: replicas behind seeded fault "
-             "proxies versus a fault-free baseline; exits nonzero on any "
-             "non-identical result (see docs/serve.md)",
-    )
-    p.add_argument("--benchmark", nargs="+", default=["gzip"],
-                   choices=SPEC2000_INT_NAMES,
-                   help="one job per benchmark (default: gzip)")
-    p.add_argument("--iterations", type=int, default=20, metavar="N",
-                   help="annealing iterations per job (default: 20)")
-    p.add_argument("--seed", type=int, default=5,
-                   help="job seed of the first payload; later payloads "
-                        "increment it (default: 5)")
-    p.add_argument("--replicas", type=int, default=2, metavar="N",
-                   help="service replicas behind fault proxies (default: 2)")
-    p.add_argument(
-        "--faults",
-        default="seed=11,refuse=0.08,reset=0.06,truncate=0.06,"
-                "error5xx=0.1,delay=0.08,delay-s=0.05",
-        metavar="SPEC",
-        help="seeded network fault plan, e.g. "
-             "'seed=7,refuse=0.1,reset=0.05,truncate=0.05,error5xx=0.1,"
-             "delay=0.1,delay-s=0.2,max-consecutive=2' (replayable: the "
-             "same spec injects the same fault sequence)",
-    )
-    p.add_argument("--kill-one", action="store_true",
-                   help="kill the replica that served the first job "
-                        "mid-run; the survivors must finish the work")
-    p.add_argument("--workdir", default=None, metavar="DIR",
-                   help="scratch directory for stores and journals "
-                        "(default: a temp dir)")
-    p.add_argument("--journal", default=None, metavar="FILE",
-                   help="append every proxied connection's fate as JSON "
-                        "lines (the chaos artifact CI uploads)")
-    p.add_argument("--timeout", type=float, default=600.0, metavar="S",
-                   help="per-job wait budget in seconds (default: 600)")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="write the full chaos report (summary + journal) "
-                        "as JSON")
-    p.add_argument("--fleet-trace", default=None, metavar="FILE",
-                   help="after the run, stitch every replica journal and "
-                        "write the merged Chrome trace to FILE (the fleet "
-                        "trace artifact CI uploads)")
 
     p = sub.add_parser(
         "trace",
@@ -1447,71 +1402,6 @@ def cmd_client(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    """Network-chaos acceptance run (see docs/serve.md)."""
-    import json as _json
-    import tempfile
-
-    from .serve import NetworkFaultPlan, run_chaos
-
-    plan = NetworkFaultPlan.parse(args.faults)
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-    payloads = [
-        {
-            "kind": "customize",
-            "benchmarks": [name],
-            "iterations": args.iterations,
-            "seed": args.seed + index,
-        }
-        for index, name in enumerate(args.benchmark)
-    ]
-    report = run_chaos(
-        payloads,
-        plan,
-        workdir,
-        replicas=args.replicas,
-        seed=plan.seed,
-        kill_first_replica=args.kill_one,
-        timeout_s=args.timeout,
-        journal_path=args.journal,
-    )
-    summary = report.as_jsonable()
-    print(_json.dumps(summary, indent=2, sort_keys=True))
-    if args.out:
-        pathlib.Path(args.out).write_text(
-            _json.dumps(
-                {**summary, "journal": report.journal}, indent=2, sort_keys=True
-            )
-            + "\n"
-        )
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.fleet_trace and report.journal_dirs:
-        from .serve import fleet as fleet_mod
-
-        try:
-            stitched = fleet_mod.stitch_journals(report.journal_dirs)
-            payload = fleet_mod.fleet_chrome_trace(stitched)
-            out_path = pathlib.Path(args.fleet_trace)
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            out_path.write_text(_json.dumps(payload) + "\n", encoding="utf-8")
-            print(
-                f"wrote {out_path} "
-                f"({len(payload['traceEvents'])} trace events, "
-                f"{len(stitched.journals)} journal(s), "
-                f"{len(stitched.trace_ids)} trace id(s))",
-                file=sys.stderr,
-            )
-        except fleet_mod.FleetError as exc:
-            print(f"fleet trace skipped: {exc}", file=sys.stderr)
-    if not report.identical:
-        print(
-            "error: chaos run diverged from the fault-free baseline",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_fleet(args) -> int:
     """Aggregate status/metrics across every replica of a serve fleet."""
     import json as _json
@@ -1570,7 +1460,6 @@ _COMMANDS = {
     "trace": cmd_trace,
     "serve": cmd_serve,
     "client": cmd_client,
-    "chaos": cmd_chaos,
     "fleet": cmd_fleet,
 }
 

@@ -38,7 +38,6 @@ from .cache_backends import (
     CacheBackendError,
     CacheCorruption,
     CacheUnavailable,
-    DirectoryBackend,
     MemoryBackend,
     SQLiteBackend,
     backend_names,
@@ -128,7 +127,6 @@ __all__ = [
     "CacheBackendError",
     "CacheCorruption",
     "CacheUnavailable",
-    "DirectoryBackend",
     "MemoryBackend",
     "SQLiteBackend",
     "backend_names",

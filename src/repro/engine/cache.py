@@ -17,7 +17,7 @@ Two tiers:
   runs (``--cache-dir``), across pool workers, and across `repro serve`
   replicas pointing at one store.  The default backend is the historical
   SQLite file (now WAL-journaled and busy-tolerant, safe for concurrent
-  sibling processes); ``memory`` and ``file:<dir>`` backends register in
+  sibling processes); the ``memory`` and ``http:`` backends register in
   :mod:`repro.engine.cache_backends`.
 
 The cache is strictly *content*-addressed: a hit is bit-identical to the

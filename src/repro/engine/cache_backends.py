@@ -3,8 +3,7 @@
 :class:`~repro.engine.cache.ResultCache` used to *be* its SQLite tier;
 this module splits the storage policy out into a :class:`CacheBackend`
 interface so N pool workers and M service replicas can share one result
-store — the seam a networked backend plugs into later.  Three
-implementations ship:
+store.  Three implementations ship:
 
 * :class:`MemoryBackend` — a plain dict; the explicit spelling of
   "no persistence" (``memory``);
@@ -13,10 +12,8 @@ implementations ship:
   and retry-on-``SQLITE_BUSY`` so a database locked by a sibling
   process degrades to a *wait* instead of losing the disk tier; rows
   are written in group commits (``sqlite:<file>``);
-* :class:`DirectoryBackend` — one file per key under a fan-out
-  directory, written atomically (write-temp + rename), so concurrent
-  writers on any shared filesystem never tear each other's entries
-  (``file:<dir>``).
+* :class:`HttpBackend` — another replica's ``/v1/cache`` API, behind a
+  circuit breaker and a local degrade tier (``http://host:port``).
 
 Backends speak rows of ``(value, checksum)`` strings; integrity
 checking, parsing and the memory LRU stay in :class:`ResultCache`,
@@ -41,7 +38,6 @@ import abc
 import contextlib
 import http.client
 import json
-import os
 import socket
 import sqlite3
 import threading
@@ -189,9 +185,9 @@ def backend_names() -> list[str]:
 def make_backend(spec: str | Path) -> CacheBackend:
     """Construct a backend from a ``scheme:location`` spec.
 
-    ``memory`` needs no location; ``sqlite:<file>`` and ``file:<dir>``
-    do.  A bare path (no scheme) is read as ``sqlite:<path>`` — the
-    historical meaning of a cache file.
+    ``memory`` needs no location; ``sqlite:<file>`` and
+    ``http://host:port`` do.  A bare path (no scheme) is read as
+    ``sqlite:<path>`` — the historical meaning of a cache file.
     """
     spec = str(spec)
     scheme, sep, location = spec.partition(":")
@@ -516,152 +512,6 @@ class SQLiteBackend(CacheBackend):
 
 
 # ----------------------------------------------------------------------
-# directory of files
-# ----------------------------------------------------------------------
-
-
-@register_backend
-class DirectoryBackend(CacheBackend):
-    """One file per key under a two-level fan-out directory.
-
-    The simplest *shared* store: entries are written atomically
-    (write-temp + ``os.replace`` in the same directory), so concurrent
-    writers — even across machines on a shared filesystem — can never
-    tear each other's rows; the worst case is the last writer winning,
-    which is harmless for a content-addressed cache.  No fsync per
-    entry: a crash may lose the newest rows, and every row is
-    recomputable by definition.
-
-    File format: first line the checksum (``-`` for none), second line
-    the key, the rest the payload verbatim.  Storing the key inside the
-    entry matters because filenames are *sanitized* keys — two hostile
-    keys can collide on one filename, and the header lets ``get``
-    detect that it found somebody else's row instead of serving it.
-    """
-
-    scheme = "file"
-    persistent = True
-
-    def __init__(self, root: str | Path) -> None:
-        self.location = Path(root)
-        self.location.mkdir(parents=True, exist_ok=True)
-
-    @classmethod
-    def from_spec(cls, location: str) -> "DirectoryBackend":
-        if not location:
-            raise EngineError("the file backend needs a directory: file:<dir>")
-        return cls(location)
-
-    def _path(self, key: str) -> Path:
-        safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in key)
-        fan = safe[:2] if len(safe) >= 2 else "__"
-        return self.location / fan / f"{safe}.entry"
-
-    @staticmethod
-    def _parse(raw: str) -> tuple[str, str, str | None] | None:
-        """``(key, value, checksum)`` from an entry body, None if torn."""
-        head, sep_head, rest = raw.partition("\n")
-        stored_key, sep_key, value = rest.partition("\n")
-        if not sep_head or not sep_key:
-            return None
-        return (stored_key, value, None if head == "-" else head)
-
-    def get(self, key: str) -> tuple[str, str | None] | None:
-        try:
-            raw = self._path(key).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise CacheUnavailable(f"entry read failed ({exc})") from exc
-        parsed = self._parse(raw)
-        if parsed is None:
-            # A torn/foreign entry: surface it as a row whose checksum
-            # cannot verify, so the cache quarantines just this entry.
-            return (raw, "<malformed-entry>")
-        stored_key, value, checksum = parsed
-        if stored_key != key:
-            # Filename collision after sanitizing: this is somebody
-            # else's row.  A miss is correct; serving it would not be.
-            return None
-        return (value, checksum)
-
-    def put(self, key: str, value: str, checksum: str | None) -> None:
-        target = self._path(key)
-        # pid AND thread id: service job threads share a process, and a
-        # shared tmp name would let one thread replace away another's.
-        tmp = target.with_name(
-            f"{target.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-        )
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(f"{checksum or '-'}\n{key}\n{value}", encoding="utf-8")
-            os.replace(tmp, target)
-        except OSError as exc:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise CacheUnavailable(f"entry write failed ({exc})") from exc
-
-    def delete(self, key: str) -> None:
-        try:
-            self._path(key).unlink(missing_ok=True)
-        except OSError as exc:
-            raise CacheUnavailable(f"entry delete failed ({exc})") from exc
-
-    def _entries(self) -> list[Path]:
-        try:
-            return [
-                p
-                for fan in sorted(self.location.iterdir())
-                if fan.is_dir()
-                for p in sorted(fan.iterdir())
-                if p.suffix == ".entry"
-            ]
-        except OSError as exc:
-            raise CacheUnavailable(f"store listing failed ({exc})") from exc
-
-    def __len__(self) -> int:
-        return len(self._entries())
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def keys(self) -> Iterator[str]:
-        found = []
-        for path in self._entries():
-            try:
-                parsed = self._parse(path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise CacheUnavailable(f"entry read failed ({exc})") from exc
-            if parsed is not None:  # torn entries have no recoverable key
-                found.append(parsed[0])
-        return iter(found)
-
-    def clear(self) -> None:
-        for path in self._entries():
-            try:
-                path.unlink(missing_ok=True)
-            except OSError as exc:
-                raise CacheUnavailable(f"entry delete failed ({exc})") from exc
-
-    def quarantine(self) -> None:
-        """Move the whole store directory aside (``<dir>.corrupt``)."""
-        self.close()
-        if self.location is None or not self.location.exists():
-            return
-        target = self.location.with_name(self.location.name + ".corrupt")
-        try:
-            if target.exists():
-                import shutil
-
-                shutil.rmtree(target, ignore_errors=True)
-            os.replace(self.location, target)
-        except OSError:
-            pass
-
-
-# ----------------------------------------------------------------------
 # network store (a replica's /v1/cache API)
 # ----------------------------------------------------------------------
 
@@ -681,7 +531,7 @@ class HttpBackend(CacheBackend):
     The networked leg of the registry seam: ``http://host:port`` (an
     optional path prefix is honoured) turns any ``repro serve`` replica
     into a shared result store for every engine that points at it.
-    Unlike the file-backed backends, the network itself is a failure
+    Unlike the local backends, the network itself is a failure
     domain, so every remote call is defended in depth:
 
     * per-call connect/read **timeouts** (``timeout_s``);

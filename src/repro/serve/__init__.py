@@ -21,8 +21,6 @@ from .fleet import (
     stitch_journals,
 )
 from .jobs import Job, JobSpec, merge_budgets
-from .netfaults import ChaosProxy, ChaosReport, NetworkFaultPlan, run_chaos
-from .replicas import JobHandle, ReplicaSet
 from .runner import execute_job
 from .scheduler import FairShareScheduler, TenantPolicy
 from .service import ExplorationService, ServiceThread
@@ -44,12 +42,6 @@ __all__ = [
     "Job",
     "JobSpec",
     "merge_budgets",
-    "ChaosProxy",
-    "ChaosReport",
-    "NetworkFaultPlan",
-    "run_chaos",
-    "JobHandle",
-    "ReplicaSet",
     "execute_job",
     "FairShareScheduler",
     "TenantPolicy",

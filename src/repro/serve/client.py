@@ -13,8 +13,7 @@ torn responses and timeouts are retried through the engine's
 backoff, and 429/503 responses are retried after the server's
 ``Retry-After``.  Non-retryable trouble — a bad URL, DNS failure, any
 other 4xx — fails fast.  :attr:`counters` tracks requests, retries,
-polls and honoured Retry-After waits; ``repro client`` surfaces them,
-and the chaos harness asserts over them.
+polls and honoured Retry-After waits; ``repro client`` surfaces them.
 """
 
 from __future__ import annotations
@@ -62,9 +61,8 @@ class ServeClient:
     retry_backpressure:
         When True, 429/503 responses are retried after the server's
         ``Retry-After`` instead of raising.  Off by default: a plain
-        client surfaces backpressure to its caller; the
-        :class:`~repro.serve.replicas.ReplicaSet` failover client turns
-        it on.
+        client surfaces backpressure to its caller; a failover client
+        over several replicas turns it on.
     propagate_trace:
         When True (the default), :meth:`submit` mints a W3C-style trace
         context (or reuses one handed in) and sends ``traceparent`` on

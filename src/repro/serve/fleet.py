@@ -2,7 +2,7 @@
 
 PR 5 made one run legible (journal + ``repro trace``); PRs 6 and 9 grew
 the system into a multi-replica, failover-capable service whose requests
-cross client → ReplicaSet → replica → engine → http store backend.  This
+cross client → replica → engine → http store backend.  This
 module is the read side that makes the *fleet* legible:
 
 * **journal stitching** — :func:`stitch_journals` merges N replica

@@ -160,7 +160,8 @@ class ExplorationService:
         Concurrent job slots, each a thread with its own engine.
     cache_backend:
         Shared result-store spec for :func:`make_backend` (``memory``,
-        ``sqlite:<file>``, ``file:<dir>``); ``none`` disables caching.
+        ``sqlite:<file>``, ``http://host:port``); ``none`` disables
+        caching.
         Each slot's engine opens its own handle to a persistent store;
         under ``memory`` each slot keeps only its bounded LRU and the
         ``/v1/cache`` API has a memory store of its own.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import time
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.engine.cache_backends import (
     CacheCorruption,
     CacheUnavailable,
     GROUP_COMMIT_ROWS,
-    DirectoryBackend,
     MemoryBackend,
     SQLiteBackend,
     backend_names,
@@ -47,7 +45,6 @@ def factory(request, tmp_path):
     specs = {
         "memory": "memory",
         "sqlite": f"sqlite:{tmp_path / 'store.sqlite'}",
-        "file": f"file:{tmp_path / 'store'}",
     }
     server = None
     if scheme == "http":
@@ -234,8 +231,6 @@ def test_make_backend_spec_parsing(tmp_path):
     sqlite_backend = make_backend(f"sqlite:{tmp_path / 'a.sqlite'}")
     assert isinstance(sqlite_backend, SQLiteBackend)
     sqlite_backend.close()
-    directory = make_backend(f"file:{tmp_path / 'dir'}")
-    assert isinstance(directory, DirectoryBackend)
     # A bare path keeps the historical meaning: a SQLite cache file.
     bare = make_backend(tmp_path / "legacy.sqlite")
     assert isinstance(bare, SQLiteBackend)
@@ -244,10 +239,13 @@ def test_make_backend_spec_parsing(tmp_path):
 
 @pytest.mark.parametrize(
     "spec",
-    ["postgres:somewhere", "sqlite:", "file:", "memory:extra"],
+    ["postgres:somewhere", "sqlite:", "file:", "file:some/dir", "memory:extra"],
 )
 def test_make_backend_rejects_bad_specs(spec):
-    with pytest.raises(EngineError):
+    # An unknown scheme (``file:`` among them) names the known ones.
+    unknown = spec.partition(":")[0] not in backend_names()
+    match = "known: memory, sqlite, http" if unknown else None
+    with pytest.raises(EngineError, match=match):
         make_backend(spec)
 
 
@@ -470,78 +468,3 @@ def test_sqlite_quarantine_moves_file_aside(tmp_path):
     assert not path.exists()
     quarantined = list(tmp_path.glob("sick.sqlite.corrupt*"))
     assert len(quarantined) == 1
-
-
-# ----------------------------------------------------------------------
-# directory-backend specifics
-# ----------------------------------------------------------------------
-
-
-def test_directory_handles_hostile_key_characters(tmp_path):
-    backend = DirectoryBackend(tmp_path / "store")
-    keys = ["a", "k/../../../escape", "key with spaces", "x" * 200]
-    for i, key in enumerate(keys):
-        backend.put(key, f"value-{i}", None)
-    for i, key in enumerate(keys):
-        assert backend.get(key) == (f"value-{i}", None)
-    # Nothing escaped the store root.
-    for entry in (tmp_path / "store").rglob("*.entry"):
-        assert entry.is_relative_to(tmp_path / "store")
-    assert not (tmp_path / "escape.entry").exists()
-
-
-def test_directory_malformed_entry_fails_checksum_verification(tmp_path):
-    """A torn entry surfaces as an unverifiable row, never a crash —
-    ResultCache then quarantines exactly that row."""
-    backend = DirectoryBackend(tmp_path / "store")
-    backend.put("good", "payload", "sum")
-    torn = backend._path("torn")
-    torn.parent.mkdir(parents=True, exist_ok=True)
-    torn.write_text("no-newline-so-no-header", encoding="utf-8")
-    value, checksum = backend.get("torn")
-    assert checksum == "<malformed-entry>"
-    assert backend.get("good") == ("payload", "sum")
-
-
-def test_directory_quarantine_moves_whole_store(tmp_path):
-    root = tmp_path / "store"
-    backend = DirectoryBackend(root)
-    backend.put("k", "v", None)
-    backend.quarantine()
-    assert not root.exists()
-    assert (tmp_path / "store.corrupt").is_dir()
-
-
-def test_directory_concurrent_same_key_never_tears(tmp_path):
-    """Racing writers on ONE key: readers always see a complete entry."""
-    backend = DirectoryBackend(tmp_path / "store")
-    stop = threading.Event()
-    errors: list[str] = []
-
-    def writer(tag: str) -> None:
-        i = 0
-        while not stop.is_set():
-            backend.put("hot", f"{tag}-{i}" * 20, f"check-{tag}")
-            i += 1
-
-    def reader() -> None:
-        while not stop.is_set():
-            row = backend.get("hot")
-            if row is None:
-                continue
-            value, checksum = row
-            if checksum == "<malformed-entry>":
-                errors.append(value[:40])  # pragma: no cover - failure path
-
-    threads = [
-        threading.Thread(target=writer, args=("a",)),
-        threading.Thread(target=writer, args=("b",)),
-        threading.Thread(target=reader),
-    ]
-    for t in threads:
-        t.start()
-    time.sleep(0.3)
-    stop.set()
-    for t in threads:
-        t.join()
-    assert errors == []

@@ -29,7 +29,7 @@ from repro.engine.telemetry import (
     series_key,
 )
 from repro.engine.trace import critical_path
-from repro.serve import ReplicaSet, ServeClient
+from repro.serve import ServeClient
 from repro.serve import fleet as fleet_mod
 from repro.serve.fleet import (
     FleetError,
@@ -41,6 +41,8 @@ from repro.serve.fleet import (
     stitch_journals,
 )
 from repro.serve.service import ExplorationService, ServiceThread
+
+from .chaos import ReplicaSet
 
 JOB = {"kind": "customize", "benchmarks": ["gzip"], "iterations": 15, "seed": 5}
 
@@ -393,7 +395,6 @@ def fleet(tmp_path_factory):
         record = rs.wait(handle, timeout=180)
         assert record["state"] == "completed"
     yield {"tmp": tmp, "urls": urls, "handles": handles, "threads": threads}
-    rs.close()
     for thread in threads:
         thread.stop()
 
@@ -573,6 +574,5 @@ def test_failover_keeps_one_trace_id_and_stitch_crosses_the_seam(tmp_path):
     kinds = [node.kind for node in path]
     assert "failover" in kinds, kinds
     assert kinds[-1] == "job"
-    rs.close()
     for thread in threads.values():
         thread.stop()

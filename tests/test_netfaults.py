@@ -1,6 +1,6 @@
 """The seeded network-chaos harness and the ReplicaSet failover client.
 
-Three layers:
+The harness itself lives in ``tests/chaos.py``.  Four layers:
 
 * :class:`NetworkFaultPlan` is a pure function — same seed, same fault
   sequence, bounded streaks (the replay oracle);
@@ -11,11 +11,16 @@ Three layers:
 * the two-replica acceptance bar: SIGKILL one subprocess replica mid-run
   behind fault proxies and the surviving replica finishes the work with
   results bit-identical to a fault-free run, served from the shared
-  store.
+  store;
+* the chaos round CI runs: :func:`run_chaos` with one in-process replica
+  killed mid-run, whose report and stitched fleet trace must show
+  identical results, a failover, a repeat served from the store,
+  injected faults and every client trace id.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import os
@@ -29,14 +34,10 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ServeClientError
-from repro.serve import (
-    ChaosProxy,
-    NetworkFaultPlan,
-    ReplicaSet,
-    ServeClient,
-    run_chaos,
-)
+from repro.serve import ServeClient, fleet
 from repro.serve.service import ExplorationService, ServiceThread
+
+from .chaos import ChaosProxy, NetworkFaultPlan, ReplicaSet, run_chaos
 
 JOB = {"kind": "customize", "benchmarks": ["gzip"], "iterations": 20, "seed": 5}
 
@@ -69,15 +70,9 @@ def test_plan_bounds_consecutive_faults():
     assert sum(k is not None for k in plan.expected_sequence(500)) > 250
 
 
-def test_plan_overrides_and_parse():
-    plan = NetworkFaultPlan.parse(
-        "seed=9,refuse=0.5,reset=0.1,delay-s=0.01,max-consecutive=3"
-    )
-    assert plan.seed == 9 and plan.refuse == 0.5 and plan.max_consecutive == 3
+def test_plan_overrides_and_rate_validation():
     pinned = NetworkFaultPlan(overrides=((0, "reset"), (1, "none"), (2, "error5xx")))
     assert pinned.expected_sequence(4) == ["reset", None, "error5xx", None]
-    with pytest.raises(Exception):
-        NetworkFaultPlan.parse("refuse=0.5,typo=1")
     with pytest.raises(Exception):
         NetworkFaultPlan(refuse=0.9, reset=0.9)  # rates must sum <= 1
 
@@ -250,7 +245,6 @@ def test_replica_set_fails_over_submit_and_wait(tmp_path):
         second["result"], sort_keys=True
     )
     assert rs.health_report()[served_by]["ok"] is False
-    rs.close()
     for thread in threads.values():
         thread.stop()
 
@@ -277,7 +271,6 @@ def test_replica_set_fails_over_mid_wait(tmp_path):
     assert counters["failovers"] >= 1
     assert counters["resubmits"] >= 1
     assert len(handle.attempts) >= 2
-    rs.close()
     for thread in threads.values():
         thread.stop()
 
@@ -307,7 +300,6 @@ def test_replica_set_events_failover_marks_the_seam(tmp_path):
     seam = kinds.index("replica_failover")
     assert any(e.get("seq") == 1 for e in events[seam + 1 :])
     assert rs.status(handle)["state"] == "completed"
-    rs.close()
     for thread in threads.values():
         thread.stop()
 
@@ -379,7 +371,6 @@ def test_acceptance_sigkill_one_replica_behind_fault_proxies(tmp_path):
         delay=0.05, delay_s=0.01,
     )
     proxies = []
-    rs = None
     try:
         for port in ports:
             _wait_up(f"http://127.0.0.1:{port}")
@@ -424,8 +415,6 @@ def test_acceptance_sigkill_one_replica_behind_fault_proxies(tmp_path):
             ]
             assert fates == oracle
     finally:
-        if rs is not None:
-            rs.close()
         for proxy in proxies:
             proxy.stop()
         for proc in procs:
@@ -435,26 +424,55 @@ def test_acceptance_sigkill_one_replica_behind_fault_proxies(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# run_chaos: the CLI harness, small
+# run_chaos: the round CI runs
 # ----------------------------------------------------------------------
 
 
 def test_run_chaos_small_round_is_bit_identical(tmp_path):
+    """The CI chaos round: one gzip job at 40 iterations on two replicas
+    behind the CI fault plan, the first job's replica killed mid-flight.
+    The connection journal, the report and the stitched fleet trace are
+    written to ``tmp_path``, where CI's ``--basetemp`` keeps them."""
     plan = NetworkFaultPlan(
-        seed=11, refuse=0.06, reset=0.05, truncate=0.05, error5xx=0.08,
-        delay=0.05, delay_s=0.01,
+        seed=11, refuse=0.08, reset=0.06, truncate=0.06, error5xx=0.1,
+        delay=0.08, delay_s=0.05,
     )
+    journal_path = tmp_path / "chaos-journal.jsonl"
     report = run_chaos(
-        [dict(JOB, iterations=15)],
+        [dict(JOB, iterations=40)],
         plan,
         tmp_path,
         replicas=2,
-        seed=3,
-        timeout_s=180,
-        journal_path=tmp_path / "journal.jsonl",
+        seed=plan.seed,
+        kill_first_replica=True,
+        timeout_s=600,
+        journal_path=journal_path,
     )
+    (tmp_path / "CHAOS_report.json").write_text(
+        json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    )
+    trace = fleet.fleet_chrome_trace(fleet.stitch_journals(report.journal_dirs))
+    (tmp_path / "fleet-trace.json").write_text(json.dumps(trace) + "\n")
+
     assert report.identical
     assert report.store_served_repeats >= 1
     assert report.chaos_digests == report.baseline_digests
     assert sum(report.faults.values()) == len(report.journal)
-    assert (tmp_path / "journal.jsonl").exists()
+    assert journal_path.exists()
+    assert report.killed_replica
+    assert report.client["failovers"] >= 1, report.client
+    injected = sum(n for kind, n in report.faults.items() if kind != "clean")
+    assert injected >= 1, report.faults
+
+    # The stitched fleet trace has a lane per journal and holds every
+    # trace id the chaos client minted.
+    lanes = {event["pid"] for event in trace["traceEvents"]}
+    assert len(lanes) >= 2, lanes
+    seen = {
+        event["args"].get("trace_id")
+        for event in trace["traceEvents"]
+        if isinstance(event.get("args"), dict)
+    }
+    minted = set(report.trace_ids)
+    assert minted, "the chaos round recorded no trace ids"
+    assert minted <= seen, minted - seen

@@ -3,15 +3,13 @@
 Two service replicas (separate slot threads and engines, separate HTTP
 ports) point at ONE sqlite-WAL store.  A customization
 job computed by replica A must be served by replica B from the store:
-zero fresh evaluations, bit-identical result.  Same story for the
-directory backend, and for two engines inside one replica.
+zero fresh evaluations, bit-identical result.  Same story for two
+engines inside one replica.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.serve import ServeClient
 from repro.serve.service import ExplorationService, ServiceThread
@@ -24,12 +22,8 @@ JOB = {
 }
 
 
-@pytest.mark.parametrize("scheme", ["sqlite", "file"])
-def test_second_replica_serves_repeated_job_from_shared_store(tmp_path, scheme):
-    if scheme == "sqlite":
-        spec = f"sqlite:{tmp_path / 'shared.sqlite'}"
-    else:
-        spec = f"file:{tmp_path / 'shared-store'}"
+def test_second_replica_serves_repeated_job_from_shared_store(tmp_path):
+    spec = f"sqlite:{tmp_path / 'shared.sqlite'}"
 
     replica_a = ExplorationService(
         jobs=1, cache_backend=spec, serve_dir=tmp_path / "a"
