@@ -20,11 +20,12 @@ Every exploration-running command accepts the engine flags: ``--jobs N``
 checkpoint), ``--no-cache`` (simulate everything), ``--resume`` (continue
 an interrupted exploration from the checkpoint in ``--cache-dir``),
 ``--stats`` (print evaluation counts, cache hit rate, per-phase wall
-time and resilience counters when done), plus the resilience knobs:
-``--retries N`` and ``--task-timeout S`` (see ``docs/resilience.md``)
-and the chaos-testing hook ``--inject-faults SPEC`` (also honoured from
-the ``REPRO_INJECT_FAULTS`` environment variable), e.g.
-``--inject-faults 'seed=7,crash=0.05,hang=0.02'``.
+time and resilience counters when done), plus the resilience knobs of
+pooled searches: ``--retries N`` and ``--task-timeout S`` (see
+``docs/resilience.md``) and the chaos-testing hook ``--inject-faults
+SPEC``, e.g. ``--jobs 2 --inject-faults 'seed=7,crash=0.3'``.  Fault
+injection acts on pooled tasks only, so it needs ``--jobs`` > 1 (and
+two CPUs); without a pool the command exits 2.
 
 ``--run-dir DIR`` upgrades any of those commands to a *supervised run*
 (see ``docs/runs.md``): DIR gets a versioned manifest, an exclusive
@@ -162,7 +163,7 @@ def _engine_options() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="retries per failing evaluation or pooled task before "
+        help="retries per failing pooled task under --jobs > 1 before "
              "giving up (default: 3)",
     )
     group.add_argument(
@@ -172,11 +173,10 @@ def _engine_options() -> argparse.ArgumentParser:
              "pool (default: none)",
     )
     group.add_argument(
-        "--inject-faults", default=os.environ.get("REPRO_INJECT_FAULTS"),
-        metavar="SPEC",
-        help="arm deterministic fault injection for chaos testing, e.g. "
-             "'seed=7,crash=0.05,hang=0.02,wrong=0.01' "
-             "(default: $REPRO_INJECT_FAULTS)",
+        "--inject-faults", default=None, metavar="SPEC",
+        help="arm deterministic fault injection in pooled tasks for "
+             "chaos testing, e.g. 'seed=7,crash=0.3,hang=0.1'; needs "
+             "--jobs > 1",
     )
     return p
 

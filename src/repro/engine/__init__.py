@@ -11,9 +11,10 @@ for: all code that needs simulation results routes through one
 * checkpoint/resume of long explorations
   (:mod:`repro.engine.checkpoint`);
 * progress/metrics hooks (:mod:`repro.engine.events`);
-* retry/timeout/backoff resilience and integrity checking
-  (:mod:`repro.engine.resilience`) with a deterministic fault-injection
-  harness for testing it (:mod:`repro.engine.faults`);
+* integrity checking of every result, and retry/timeout/backoff
+  resilience for pooled tasks (:mod:`repro.engine.resilience`) with a
+  deterministic fault-injection harness for testing it
+  (:mod:`repro.engine.faults`);
 * durable run orchestration (:mod:`repro.engine.runs`): run directories
   with versioned manifests, exclusive locks with stale-lock takeover,
   cooperative SIGINT/SIGTERM shutdown and artifact integrity
@@ -66,7 +67,6 @@ from .runs import (
 from .faults import (
     CRASH,
     HANG,
-    WRONG_RESULT,
     FaultPlan,
     InjectedCrash,
     InjectedFault,
@@ -150,7 +150,6 @@ __all__ = [
     "list_runs",
     "CRASH",
     "HANG",
-    "WRONG_RESULT",
     "FaultPlan",
     "InjectedCrash",
     "InjectedFault",

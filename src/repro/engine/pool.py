@@ -13,15 +13,16 @@ and characterization code runs simulations.  It layers, in order:
    matter how often the batch repeats it (the Table-5 matrix fill
    overlaps heavily with cross-seeding);
 3. **in-process batch simulation** — misses go through the simulator's
-   vectorized batch path, and every accepted result passes integrity
-   validation; injected faults and integrity violations are retried
-   under the engine's :class:`~repro.engine.resilience.RetryPolicy`
-   (bounded exponential backoff, deterministic jitter);
+   vectorized batch path, and every result passes integrity validation;
+   a violation raises at once, because a deterministic simulator would
+   fail the same way on every retry;
 4. **process parallelism at map granularity** — :meth:`map` runs
    coarse tasks (one search per workload, one restart, one sweep point)
-   across ``jobs`` worker processes, with per-task timeouts, retries,
-   pool restarts up to the policy's budget, and a permanent fallback to
-   serial execution beyond it.
+   across ``jobs`` worker processes — the one place work can fail
+   without the code being wrong — with per-task timeouts, retries under
+   the engine's :class:`~repro.engine.resilience.RetryPolicy` (bounded
+   exponential backoff, deterministic jitter), pool restarts up to the
+   policy's budget, and a permanent fallback to serial execution beyond it.
 
 Single evaluations never go to the pool: a batched interval-model
 evaluation costs about as much as pickling its result back from a
@@ -35,8 +36,8 @@ bit-identical outputs, *including* under retries, pool restarts and
 injected faults (a retried task re-runs the same deterministic code).
 
 Fault injection (:class:`~repro.engine.faults.FaultPlan`, the
-``faults=`` parameter) exists to *test* all of the above: see
-``docs/resilience.md``.
+``faults=`` parameter) exists to *test* the pooled map layer, and so
+needs an engine with more than one worker: see ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -55,14 +56,9 @@ from ..sim.metrics import SimResult
 from ..workloads.profile import WorkloadProfile
 from .cache import ResultCache
 from .events import EngineMetrics, EventBus
-from .faults import WRONG_RESULT, FaultPlan, InjectedFault, corrupt_result, enact
+from .faults import FaultPlan, InjectedFault, enact
 from .keys import digest, finish_key, key_prefix, key_suffix, simulator_id
-from .resilience import (
-    ResultIntegrityError,
-    RetryPolicy,
-    failure_reason,
-    validate_result,
-)
+from .resilience import RetryPolicy, failure_reason, validate_result
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -135,8 +131,7 @@ def _map_call(
 
     The engine's fault plan (if any) is enacted first, for this task's
     key and attempt: a hard crash really kills the worker and a hang
-    really overruns the parent's deadline.  A drawn ``wrong_result`` is
-    an evaluation-level fault and does nothing here.
+    really overruns the parent's deadline.
 
     Workers cannot reach the parent's bus, so the task returns
     ``(value, record)`` and the parent emits the ``task_span`` event —
@@ -151,7 +146,7 @@ def _map_call(
     start_ts = time.time()
     t0 = time.perf_counter()
     if plan is not None:
-        enact(plan, key, attempt, allow_exit=True)
+        enact(plan, key, attempt)
     value = fn(item)
     return value, {
         "worker_pid": os.getpid(),
@@ -192,9 +187,10 @@ class EvaluationEngine:
         to ``RetryPolicy()`` (retries on, no timeout).
     faults:
         Optional :class:`~repro.engine.faults.FaultPlan` injecting
-        deterministic failures into in-process evaluations and pooled
-        :meth:`map` tasks (testing/chaos runs only; results remain
-        bit-identical to a fault-free run).
+        deterministic failures into pooled :meth:`map` tasks
+        (testing/chaos runs only; results remain bit-identical to a
+        fault-free run).  An active plan needs a pool: it raises
+        :class:`~repro.errors.EngineError` when ``workers`` is 1.
     """
 
     def __init__(
@@ -218,6 +214,12 @@ class EvaluationEngine:
         self.workers = min(jobs, available_cpus())
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults if faults is not None and faults.active else None
+        if self.faults is not None and self.workers == 1:
+            raise EngineError(
+                "fault injection acts on pooled map tasks and needs a pool, "
+                f"but this engine has 1 worker (jobs={jobs}, "
+                f"{available_cpus()} CPU(s) available)"
+            )
         self.cache: ResultCache | None
         if cache is _DEFAULT_CACHE:
             self.cache = ResultCache(path=None)
@@ -290,10 +292,9 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
 
     def evaluate(self, profile: WorkloadProfile, config: Any) -> SimResult:
-        """One cache-aware evaluation (always in-process)."""
+        """One cache-aware, validated evaluation (always in-process)."""
         if self.cache is None:
-            key = self.key_for(profile, config) if self.faults is not None else ""
-            result = self._evaluate_serial(profile, config, key)
+            result = validate_result(profile, self.simulator.evaluate(profile, config))
             self.events.emit("evaluation", count=1)
             return result
         key = self.key_for(profile, config)
@@ -302,7 +303,7 @@ class EvaluationEngine:
             self.events.emit("cache_hit", count=1)
             return hit
         self.events.emit("cache_miss", count=1)
-        result = self._evaluate_serial(profile, config, key)
+        result = validate_result(profile, self.simulator.evaluate(profile, config))
         self.events.emit("evaluation", count=1)
         self.cache.put(key, result)
         return result
@@ -320,10 +321,10 @@ class EvaluationEngine:
 
     def simulate_many(self, pairs: Sequence[Pair]) -> list[SimResult]:
         """Simulate a batch without touching the cache: no lookups, no
-        stores, and no keys unless an armed fault plan draws from them.
+        stores and no keys.
 
         For batches whose pairs are not expected to recur (sampled
-        design points).  Results are validated, faults retried and
+        design points).  Results are validated and
         ``evaluation``/``batch`` events emitted exactly as on an
         engine with ``cache=None``, which takes this same path.
         """
@@ -364,7 +365,7 @@ class EvaluationEngine:
             self.events.emit("cache_hit", count=hits)
         if missing:
             self.events.emit("cache_miss", count=len(missing))
-            fresh = self._simulate(list(missing.values()), keys=list(missing))
+            fresh = self._simulate(list(missing.values()))
             self.events.emit("evaluation", count=len(fresh))
             for key, result in zip(missing, fresh):
                 self.cache.put(key, result)
@@ -383,7 +384,8 @@ class EvaluationEngine:
         the pool, a task that fails (an injected fault), breaks its
         worker or overruns the policy's ``timeout_s`` is retried with
         backoff, on a rebuilt pool when the old one died; exceptions
-        raised by ``fn`` itself propagate to the caller.
+        raised by ``fn`` itself, of any type, propagate to the caller
+        and leave the pool in place.
         """
         items = list(items)
         if self.workers == 1 or len(items) < 2 or not self._picklable(fn, items):
@@ -431,11 +433,6 @@ class EvaluationEngine:
                 results[i] = value
 
             failed, pool_death = self._collect(futures, accept)
-            if failed is None:  # unpicklable mid-flight: finish serially
-                for i in pending:
-                    if i not in results:
-                        results[i] = fn(items[i])
-                break
             pending = self._account_failures(failed, attempts)
             if pool_death is not None:
                 self._note_pool_death(pool_death)
@@ -463,71 +460,18 @@ class EvaluationEngine:
                 self.terminate()
             raise
 
-    def _evaluate_serial(
-        self, profile: WorkloadProfile, config: Any, key: str
-    ) -> SimResult:
-        """One in-process evaluation under the retry policy.
+    def _simulate(self, pairs: Sequence[Pair]) -> list[SimResult]:
+        """Simulate pairs in-process, order-preserving, and validate each.
 
-        Injected faults (when a plan is armed) and integrity violations
-        are retried with backoff up to ``policy.max_retries``; anything
-        else — a genuine simulator error — propagates immediately, since
-        a deterministic simulator will not heal on retry.
+        More than one pair takes the batch path (one vectorized call per
+        profile group).  A result failing validation raises
+        :class:`~repro.engine.resilience.ResultIntegrityError` at once:
+        the simulator is deterministic, so a retry would fail the same way.
         """
-        attempt = 0
-        while True:
-            try:
-                kind = None
-                if self.faults is not None:
-                    kind = enact(self.faults, key, attempt, allow_exit=False)
-                result = self.simulator.evaluate(profile, config)
-                if kind == WRONG_RESULT:
-                    result = corrupt_result(result)
-                return validate_result(profile, result)
-            except (InjectedFault, ResultIntegrityError) as exc:
-                attempt = self._before_retry(key, attempt, exc)
-
-    def _before_retry(self, key: str, attempt: int, exc: BaseException) -> int:
-        """Account one failed attempt: back off, or give up loudly."""
-        next_attempt = attempt + 1
-        if next_attempt > self.policy.max_retries:
-            raise EngineError(
-                f"evaluation {key[:12] or '<unkeyed>'} still failing after "
-                f"{next_attempt} attempts: {exc}"
-            ) from exc
-        delay = self.policy.delay_s(key, next_attempt)
-        self.events.emit(
-            "retry",
-            key=key,
-            attempt=next_attempt,
-            reason=failure_reason(exc),
-            delay_s=delay,
-        )
-        if delay > 0:
-            time.sleep(delay)
-        return next_attempt
-
-    def _simulate(
-        self, pairs: Sequence[Pair], keys: Sequence[str] | None = None
-    ) -> list[SimResult]:
-        """Simulate pairs in-process, order-preserving.
-
-        Without a fault plan, more than one pair takes the batch fast
-        path (one vectorized call per profile group) and is validated
-        afterwards; a plan needs per-evaluation keys and retries, so it
-        takes the scalar retry loop.
-        """
-        if self.faults is None and len(pairs) > 1:
-            results = _simulate_pairs(self.simulator, pairs)
-            for (profile, _), result in zip(pairs, results):
-                validate_result(profile, result)
-            return results
-        if keys is None:
-            keys = (
-                [self.key_for(p, c) for p, c in pairs]
-                if self.faults is not None
-                else [""] * len(pairs)
-            )
-        return [self._evaluate_serial(p, c, k) for (p, c), k in zip(pairs, keys)]
+        results = _simulate_pairs(self.simulator, pairs)
+        for (profile, _), result in zip(pairs, results):
+            validate_result(profile, result)
+        return results
 
     def _submit_all(
         self, executor: ProcessPoolExecutor, work: Sequence[tuple[int, tuple]]
@@ -554,15 +498,13 @@ class EvaluationEngine:
         self,
         futures: Sequence[tuple[int, Any]],
         accept: Callable[[int, Any], None],
-    ) -> tuple[list[tuple[int, BaseException]] | None, str | None]:
+    ) -> tuple[list[tuple[int, BaseException]], str | None]:
         """Harvest futures in order; sort outcomes into accepted/failed.
 
-        Returns ``(failed, pool_death_reason)``.  ``failed`` is ``None``
-        when the work itself proved unpicklable (permanent serial
-        fallback was triggered; the caller finishes in-process).  After
-        the pool is condemned (first timeout or break), remaining
-        futures are only harvested if already done — nothing waits on a
-        suspect pool.
+        Returns ``(failed, pool_death_reason)``.  After the pool is
+        condemned (first timeout or break), remaining futures are only
+        harvested if already done — nothing waits on a suspect pool.
+        Any other exception is the task's own and propagates.
         """
         failed: list[tuple[int, BaseException]] = []
         pool_death: str | None = None
@@ -583,10 +525,6 @@ class EvaluationEngine:
                 pool_death = (
                     f"task exceeded {self.policy.timeout_s}s deadline (hung worker)"
                 )
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                self._fall_back(f"parallel work failed to pickle ({exc}); "
-                                "retrying serially")
-                return None, None
             except Exception as exc:
                 if not _is_broken_pool(exc):
                     self._shutdown_executor(cancel=True)

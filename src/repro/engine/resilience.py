@@ -13,20 +13,22 @@ The pieces:
   milliseconds), a retry budget, and a pool-restart budget after which
   the engine degrades gracefully to serial execution;
 * :func:`validate_result` — integrity checking of every simulator
-  result before it is accepted into the cache (a worker returning a
-  wrong-shaped or mislabelled result is treated as a failure, not a
-  value);
+  result before it is accepted into the cache (a wrong-shaped or
+  mislabelled result raises at once: the simulator is deterministic,
+  so retrying it would only repeat the violation);
 * :func:`quarantine_file` — the shared "move it aside and carry on"
   primitive the cache and checkpoint tiers use for corrupt files;
 * :func:`parse_retry_after` — the one reader of an HTTP server's
   ``Retry-After`` header, for the service client and the ``http:``
   cache backend (each applies its own cap).
 
-Because the simulator itself is deterministic, a retried evaluation
-returns exactly the value the failed attempt would have: retries,
-timeouts, pool restarts and serial degradation are all invisible in the
-output — ``jobs=4`` under heavy fault injection is bit-identical to a
-clean ``jobs=1`` run (the fault-matrix suite asserts this).
+Retries apply only to pooled map tasks, the one place work fails
+without the code being wrong.  Because the task itself is
+deterministic, a retried task returns exactly the value the failed
+attempt would have: retries, timeouts, pool restarts and serial
+degradation are all invisible in the output — ``jobs=4`` under heavy
+fault injection is bit-identical to a clean ``jobs=1`` run (the
+fault-matrix suite asserts this).
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ def failure_reason(exc: BaseException) -> str:
     """Classify one retryable failure for event payloads and journals.
 
     The taxonomy lives here, next to the retry policy that consumes it,
-    so every emitter (pool retries, serial retries, telemetry) labels
-    the same exception the same way: ``crash`` (worker died), ``hang``
-    (injected stall), ``integrity`` (result failed validation),
+    so the pool's retry events and telemetry label the same exception
+    the same way: ``crash`` (worker died), ``hang`` (injected stall),
     ``timeout`` (per-task deadline), ``pool`` (anything else the pool
     surfaced).
     """
@@ -63,8 +64,6 @@ def failure_reason(exc: BaseException) -> str:
         return "crash"
     if isinstance(exc, InjectedFault):
         return "hang"
-    if isinstance(exc, ResultIntegrityError):
-        return "integrity"
     if isinstance(exc, FuturesTimeout):
         return "timeout"
     return "pool"
@@ -72,7 +71,7 @@ def failure_reason(exc: BaseException) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the engine treats failing evaluations.
+    """How the engine treats failing pooled map tasks.
 
     Parameters
     ----------
@@ -124,7 +123,7 @@ class RetryPolicy:
             raise EngineError(f"pool_restarts cannot be negative: {self.pool_restarts}")
 
     def delay_s(self, key: str, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based) of evaluation ``key``.
+        """Backoff before retry ``attempt`` (1-based) of task ``key``.
 
         Deterministic: the exponential ramp is clamped to
         ``backoff_max_s`` and scaled by a jitter factor in
@@ -163,10 +162,10 @@ def parse_retry_after(headers: dict[str, str]) -> float | None:
 def validate_result(profile, result: SimResult) -> SimResult:
     """Accept ``result`` as the evaluation of ``profile`` or raise.
 
-    Catches the corruption modes a sick worker (or an injected
-    ``wrong_result`` fault) can produce: a result labelled for a
-    different workload, or non-finite/non-positive performance numbers.
-    Raises :class:`ResultIntegrityError` (retryable) on any violation.
+    Catches a result labelled for a different workload, or
+    non-finite/non-positive performance numbers.  Raises
+    :class:`ResultIntegrityError` on any violation; the engine does not
+    retry it, since a deterministic simulator would repeat it.
     """
     if not isinstance(result, SimResult):
         raise ResultIntegrityError(

@@ -115,8 +115,9 @@ def build_engine(
     ``cache_dir`` adds a persistent SQLite result cache under it;
     without one the cache is in-memory.  ``use_cache=False`` disables
     caching entirely (every evaluation simulates).  ``policy`` overrides
-    the default retry/timeout policy; ``faults`` arms deterministic
-    fault injection (chaos/testing runs — results are unchanged).
+    the default retry/timeout policy of pooled map tasks; ``faults``
+    arms deterministic fault injection in those tasks (chaos/testing
+    runs — results are unchanged) and needs a pool of two or more workers.
     """
     cache: ResultCache | None
     if not use_cache:

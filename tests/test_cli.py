@@ -60,6 +60,18 @@ class TestExplorationCommands:
         assert "gzip: IPT" in out
         assert "clock period" in out
 
+    def test_inject_faults_without_a_pool_exits_2(self, capsys):
+        """Fault injection acts on pooled map tasks only: a serial run
+        refuses the flag instead of silently injecting nothing."""
+        assert main(
+            ["customize", "gzip", "--inject-faults", "seed=1,crash=0.2"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "fault injection acts on pooled map tasks and needs a pool" in (
+            captured.err
+        )
+        assert "gzip: IPT" not in captured.out
+
     def test_sweep(self, capsys):
         assert main(
             ["sweep", "gcc", "--clocks", "0.25", "0.45", "--iterations", "80"]

@@ -34,7 +34,7 @@ from repro.design import (
     pareto_filter,
     sample_design_space,
 )
-from repro.engine import EvaluationEngine, FaultPlan, RetryPolicy
+from repro.engine import EvaluationEngine
 from repro.errors import CommunalError
 from repro.explore.xpscalar import XpScalar, apply_objective, objective_identity
 from repro.tech import default_technology
@@ -261,34 +261,6 @@ class TestParetoExplorer:
         )
         assert set(fronts) == {"gzip", "mcf"}
         assert all(f.points for f in fronts.values())
-
-    def test_fault_plan_leaves_fronts_bit_identical(self, tech):
-        """Sampled points skip the cache, not validation or retries: under
-        an armed plan of crashes and corrupted results the fronts equal
-        the fault-free fronts bit for bit."""
-
-        def exact(fronts):
-            return {
-                name: [
-                    (p.config, *(v.hex() for v in (p.ipt, p.power_w, p.area_mm2, p.epi_nj)))
-                    for p in front.points
-                ]
-                for name, front in fronts.items()
-            }
-
-        profiles = [spec2000_profile("gzip"), spec2000_profile("mcf")]
-        clean = ParetoExplorer(tech=tech).fronts(profiles, samples=8, seed=3)
-        engine = EvaluationEngine(
-            policy=RetryPolicy(max_retries=10, backoff_base_s=0.0, backoff_max_s=0.0),
-            faults=FaultPlan(seed=2008, crash=0.2, wrong_result=0.2),
-        )
-        faulty = ParetoExplorer(tech=tech, engine=engine).fronts(
-            profiles, samples=8, seed=3
-        )
-        assert exact(faulty) == exact(clean)
-        assert engine.metrics.retries > 0
-        assert engine.metrics.lookups == 0
-        assert engine.metrics.evaluations == sum(f.explored for f in faulty.values())
 
     def test_jsonable_roundtrips_through_json(self, tech):
         front = ParetoExplorer(tech=tech).front(

@@ -24,7 +24,6 @@ SWEEP_ARGS = ["sweep", "gzip", "--iterations", "600", "--seed", "0"]
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_INJECT_FAULTS", None)
     return env
 
 

@@ -2,14 +2,18 @@
 
 Covers the pieces :mod:`tests.test_faults` exercises only end-to-end:
 the :class:`RetryPolicy` backoff math, :class:`FaultPlan` determinism
-and parsing, result integrity validation — and the pool's lifecycle
-regressions: ``close()`` after a map task raised, a failed pool
-construction leaving the engine honestly in serial mode, and map tasks
-that hang past their deadline.
+and parsing, result integrity validation and the one rule the engine
+applies to a violation (raise at once, store nothing) — and the pool's
+lifecycle regressions: ``close()`` after a map task raised, task errors
+of any type leaving the pool in place, a failed pool construction
+leaving the engine honestly in serial mode, and map tasks that hang
+past their deadline.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import pickle
 import time
@@ -20,18 +24,20 @@ import pytest
 from repro.engine import (
     CRASH,
     HANG,
-    WRONG_RESULT,
     EvaluationEngine,
+    EventBus,
     FaultPlan,
     InjectedCrash,
     InjectedHang,
+    ResultCache,
     ResultIntegrityError,
     RetryPolicy,
     validate_result,
 )
-from repro.engine.faults import corrupt_result, enact
+from repro.engine.faults import enact
 from repro.engine.resilience import parse_retry_after, quarantine_file
 from repro.errors import EngineError
+from repro.sim.interval import IntervalSimulator
 from repro.sim.metrics import SimResult
 from repro.tech import default_technology
 from repro.uarch import initial_configuration
@@ -99,60 +105,55 @@ def test_parse_retry_after(headers, expected):
 
 class TestFaultPlan:
     def test_decisions_are_pure_and_seeded(self):
-        a = FaultPlan(seed=1, crash=0.3, hang=0.2, wrong_result=0.1)
-        b = FaultPlan(seed=1, crash=0.3, hang=0.2, wrong_result=0.1)
-        c = FaultPlan(seed=2, crash=0.3, hang=0.2, wrong_result=0.1)
+        a = FaultPlan(seed=1, crash=0.3, hang=0.2)
+        b = FaultPlan(seed=1, crash=0.3, hang=0.2)
+        c = FaultPlan(seed=2, crash=0.3, hang=0.2)
         decisions_a = [a.fault_for(f"k{i}", j) for i in range(30) for j in range(3)]
         decisions_b = [b.fault_for(f"k{i}", j) for i in range(30) for j in range(3)]
         decisions_c = [c.fault_for(f"k{i}", j) for i in range(30) for j in range(3)]
         assert decisions_a == decisions_b
         assert decisions_a != decisions_c
-        assert {CRASH, HANG, WRONG_RESULT} & set(decisions_a)
+        assert {CRASH, HANG} <= set(decisions_a)
 
     def test_budget_guarantees_forward_progress(self):
         plan = FaultPlan(seed=0, crash=1.0, max_faults_per_key=3)
         assert plan.expected_faults("key") == [CRASH, CRASH, CRASH]
         assert plan.fault_for("key", 3) is None
 
-    def test_overrides_fire_exactly_where_asked(self):
-        plan = FaultPlan(overrides=(("k", 1, HANG),))
-        assert plan.fault_for("k", 0) is None
-        assert plan.fault_for("k", 1) == HANG
-        assert plan.fault_for("other", 1) is None
-        assert plan.active
-
     def test_parse_round_trip_and_rejection(self):
         plan = FaultPlan.parse(
-            "seed=7, crash=0.1, hang=0.05, wrong=0.02, "
+            "seed=7, crash=0.1, hang=0.05, "
             "hang-seconds=0.2, max-per-key=4, hard"
         )
         assert plan == FaultPlan(
-            seed=7, crash=0.1, hang=0.05, wrong_result=0.02,
+            seed=7, crash=0.1, hang=0.05,
             hang_seconds=0.2, max_faults_per_key=4, hard_crash=True,
         )
         with pytest.raises(EngineError):
             FaultPlan.parse("crsh=0.1")
+        with pytest.raises(EngineError):
+            FaultPlan.parse("wrong=0.1")  # no result-level faults
         with pytest.raises(EngineError):
             FaultPlan.parse("crash=lots")
         with pytest.raises(EngineError):
             FaultPlan(crash=0.7, hang=0.7)  # rates sum past 1
 
     def test_enact_raises_the_right_faults(self):
-        crash = FaultPlan(overrides=(("k", 0, CRASH),))
+        crash = FaultPlan(crash=1.0, max_faults_per_key=1)
         with pytest.raises(InjectedCrash):
             enact(crash, "k", 0)
-        hang = FaultPlan(overrides=(("k", 0, HANG),), hang_seconds=0.0)
+        assert enact(crash, "k", 1) is None  # budget spent: runs clean
+        hang = FaultPlan(hang=1.0, hang_seconds=0.0)
         with pytest.raises(InjectedHang):
             enact(hang, "k", 0)
-        wrong = FaultPlan(overrides=(("k", 0, WRONG_RESULT),))
-        assert enact(wrong, "k", 0) == WRONG_RESULT
-        assert enact(wrong, "k", 1) is None
+        assert enact(FaultPlan(), "k", 0) is None
 
     def test_plans_survive_pickling(self):
-        plan = FaultPlan(seed=9, crash=0.25, overrides=(("k", 0, CRASH),))
+        plan = FaultPlan(seed=9, crash=1.0, max_faults_per_key=1)
         copy = pickle.loads(pickle.dumps(plan))
         assert copy == plan
         assert copy.fault_for("k", 0) == CRASH
+        assert copy.fault_for("k", 1) is None
 
 
 class TestResultValidation:
@@ -172,8 +173,14 @@ class TestResultValidation:
             validate_result(streaming(), "not a result")
 
     def test_rejects_corrupted_results(self):
-        with pytest.raises(ResultIntegrityError):
-            validate_result(streaming(), corrupt_result(self.make_result()))
+        good = self.make_result()
+        for corrupt in (
+            dataclasses.replace(good, workload=f"!corrupt!{good.workload}"),
+            dataclasses.replace(good, cycles=float("nan")),
+            dataclasses.replace(good, cycles=float("inf")),
+        ):
+            with pytest.raises(ResultIntegrityError):
+                validate_result(streaming(), corrupt)
 
     def test_quarantine_file_moves_and_tolerates_absence(self, tmp_path):
         victim = tmp_path / "state.json"
@@ -190,10 +197,10 @@ class TestResultValidation:
 # ----------------------------------------------------------------------
 
 
-def _poisoned(value):
-    """Picklable map task that errors on one item."""
+def _poisoned(value, error=ValueError):
+    """Picklable map task that raises ``error`` on one item."""
     if value == 2:
-        raise ValueError("poisoned task")
+        raise error("poisoned task")
     return value
 
 
@@ -219,6 +226,33 @@ class TestEngineLifecycle:
             with EvaluationEngine(jobs=2) as engine:
                 engine.map(_poisoned, [1, 2, 3])
         assert engine._executor is None
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError, AttributeError])
+    def test_task_errors_propagate_and_keep_the_pool(self, error):
+        """A task's own exception propagates whatever its type: a
+        ``TypeError`` or ``AttributeError`` raised inside ``fn`` is not
+        a pickling failure (payloads are checked before submission), so
+        it neither disables the pool nor re-runs work in-process."""
+        fallbacks = []
+        bus = EventBus()
+        bus.subscribe(lambda e, p: fallbacks.append(p) if e == "fallback" else None)
+        with EvaluationEngine(jobs=2, events=bus) as engine:
+            with pytest.raises(error, match="poisoned"):
+                engine.map(functools.partial(_poisoned, error=error), [1, 2, 3])
+            assert engine.mode == "pool"
+            assert fallbacks == []
+            assert engine.map(_poisoned, [1, 3]) == [1, 3]  # pool still serves
+
+    def test_fault_plan_needs_a_pool(self, monkeypatch):
+        """A plan acts on pooled map tasks only, so an engine that has no
+        pool refuses one instead of silently ignoring it."""
+        with pytest.raises(EngineError, match="needs a pool"):
+            EvaluationEngine(jobs=1, faults=FaultPlan(crash=0.5))
+        monkeypatch.setattr("repro.engine.pool.available_cpus", lambda: 1)
+        with pytest.raises(EngineError, match="needs a pool"):
+            EvaluationEngine(jobs=4, faults=FaultPlan(crash=0.5))
+        # A plan that can inject nothing is not armed, so any engine takes it.
+        assert EvaluationEngine(jobs=1, faults=FaultPlan()).faults is None
 
     def test_failed_pool_construction_degrades_honestly(self, monkeypatch):
         """Regression: when the pool cannot be built the engine must stop
@@ -312,3 +346,81 @@ def _sleep_once_then_double(arg):
 def _sleep_forever(value):
     time.sleep(30.0)
     return value
+
+
+# ----------------------------------------------------------------------
+# the one integrity rule: a bad result raises at once, and is not stored
+# ----------------------------------------------------------------------
+
+
+class _Mislabelling:
+    """A simulator that mislabels the result of one configuration and
+    counts every (profile, config) pair it simulates."""
+
+    cache_version = "mislabelling-test"
+
+    def __init__(self, bad_config):
+        self.inner = IntervalSimulator()
+        self.bad_config = bad_config
+        self.simulated = 0
+
+    def evaluate(self, profile, config):
+        self.simulated += 1
+        result = self.inner.evaluate(profile, config)
+        if config == self.bad_config:
+            return dataclasses.replace(result, workload="someone-else")
+        return result
+
+    def evaluate_batch(self, profile, configs):
+        return [self.evaluate(profile, config) for config in configs]
+
+
+class TestIntegrityRule:
+    """``evaluate``, ``evaluate_many`` and ``simulate_many`` share one
+    rule: a result failing validation raises
+    :class:`ResultIntegrityError` after one simulation of each pair —
+    no retries — and leaves no cache row for the bad pair."""
+
+    @pytest.fixture()
+    def setup(self):
+        good = initial_configuration(default_technology())
+        bad = good.replace(rob_size=good.rob_size * 2)
+        simulator = _Mislabelling(bad)
+        cache = ResultCache()
+        engine = EvaluationEngine(simulator=simulator, cache=cache)
+        return engine, simulator, cache, good, bad
+
+    def test_evaluate_raises_after_one_call(self, setup):
+        engine, simulator, cache, _, bad = setup
+        with pytest.raises(ResultIntegrityError, match="someone-else"):
+            engine.evaluate(streaming(), bad)
+        assert simulator.simulated == 1
+        assert engine.key_for(streaming(), bad) not in cache
+        assert engine.metrics.retries == 0
+
+    def test_evaluate_many_raises_after_one_call_per_pair(self, setup):
+        engine, simulator, cache, good, bad = setup
+        pairs = [(streaming(), good), (streaming(), bad)]
+        with pytest.raises(ResultIntegrityError, match="someone-else"):
+            engine.evaluate_many(pairs)
+        assert simulator.simulated == len(pairs)
+        assert engine.key_for(streaming(), bad) not in cache
+        assert engine.metrics.retries == 0
+
+    def test_simulate_many_raises_after_one_call_per_pair(self, setup):
+        engine, simulator, cache, good, bad = setup
+        pairs = [(streaming(), good), (streaming(), bad), (branchy(), good)]
+        with pytest.raises(ResultIntegrityError, match="someone-else"):
+            engine.simulate_many(pairs)
+        assert simulator.simulated == len(pairs)
+        assert len(cache) == 0
+        assert engine.metrics.retries == 0
+
+    def test_uncached_engine_follows_the_same_rule(self, setup):
+        _, simulator, _, good, bad = setup
+        engine = EvaluationEngine(simulator=simulator, cache=None)
+        with pytest.raises(ResultIntegrityError):
+            engine.evaluate(streaming(), bad)
+        with pytest.raises(ResultIntegrityError):
+            engine.evaluate_many([(streaming(), good), (streaming(), bad)])
+        assert simulator.simulated == 3
