@@ -14,6 +14,7 @@ import pathlib
 import pytest
 
 from repro.experiments.pipeline import default_pipeline
+from repro.experiments.reporting import write_artifact
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -37,9 +38,10 @@ def results_dir():
 
 @pytest.fixture()
 def save_artifact(results_dir):
-    """Write a rendered table/figure artifact to results/<name>.txt."""
+    """Atomically write a rendered table/figure artifact to
+    results/<name>.txt (newline-terminated)."""
 
     def _save(name: str, text: str) -> None:
-        (results_dir / f"{name}.txt").write_text(text + "\n")
+        write_artifact(results_dir / f"{name}.txt", text)
 
     return _save

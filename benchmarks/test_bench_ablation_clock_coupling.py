@@ -20,7 +20,7 @@ from repro.workloads import spec2000_profiles
 ITERATIONS = 1200
 
 
-def test_bench_clock_coupling_ablation(benchmark, save_artifact):
+def test_bench_clock_coupling_ablation(save_artifact):
     xp = XpScalar(schedule=AnnealingSchedule(iterations=ITERATIONS))
     sweep = ClockSweep(xp, iterations=ITERATIONS)
     profiles = spec2000_profiles()
@@ -34,7 +34,7 @@ def test_bench_clock_coupling_ablation(benchmark, save_artifact):
                          free.config.clock_period_ns))
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
 
     gains = [free / pinned for _, free, pinned, _ in rows]
     # Freeing the clock must never lose (the pinned space is a subset up

@@ -15,7 +15,7 @@ from repro.workloads import spec2000_profile
 ITERATIONS = 1500
 
 
-def test_bench_objective_ablation(benchmark, save_artifact):
+def test_bench_objective_ablation(save_artifact):
     profile = spec2000_profile("gzip")
 
     def run():
@@ -42,7 +42,7 @@ def test_bench_objective_ablation(benchmark, save_artifact):
         area = area_xp.customize(profile, seed=9)
         return ipt, ipc, area
 
-    ipt, ipc, area = benchmark.pedantic(run, rounds=1, iterations=1)
+    ipt, ipc, area = run()
 
     # IPC maximization ignores the clock: it must not pick a faster clock
     # than the IPT optimum, and typically picks a much slower one.

@@ -6,11 +6,12 @@ point), and the full-propagation greedy picks are row-cheap entries.
 
 import numpy as np
 
-from repro.experiments import appendix_a_matrix, figure7, render_matrix
+from repro.experiments import appendix_a_matrix, figure7
+from repro.experiments.artifacts import render_appendix_a_slowdowns
 
 
-def test_bench_appendix_a(cross, benchmark, save_artifact):
-    slowdown = benchmark(lambda: appendix_a_matrix(cross))
+def test_bench_appendix_a(pipe, cross, save_artifact):
+    slowdown = appendix_a_matrix(cross)
 
     assert np.allclose(np.diag(slowdown), 0.0)
     assert slowdown.min() >= -1e-6  # no workload prefers a foreign config
@@ -24,16 +25,4 @@ def test_bench_appendix_a(cross, benchmark, save_artifact):
         row = np.delete(slowdown[i], i)
         assert edge.slowdown <= np.median(row) + 1e-9
 
-    text = render_matrix(
-        list(cross.names),
-        slowdown,
-        percent=True,
-        fmt="{:5.1f}",
-        title="Appendix A: slowdown of each benchmark (rows) on each "
-        "customized configuration (columns)",
-    )
-    marks = ", ".join(
-        f"{e.consumer}<-{e.effective_root}" for e in graph.edges
-    )
-    text += f"\n\ngreedy (full propagation) picks: {marks}"
-    save_artifact("appendix_a_slowdowns", text)
+    save_artifact("appendix_a_slowdowns", render_appendix_a_slowdowns(pipe))

@@ -15,7 +15,6 @@ as every similarity-based baseline (this is the paper's thesis).
 
 import numpy as np
 
-from repro.characterize import config_distance_matrix
 from repro.communal import (
     best_combination,
     bottleneck_effects,
@@ -34,7 +33,7 @@ def _pair_from_clusters(clusters):
     return reps
 
 
-def test_bench_baselines(pipe, cross, benchmark, save_artifact):
+def test_bench_baselines(pipe, cross, save_artifact):
     def run():
         # 1. raw-characteristic subsetting.
         raw_clusters = cluster_workloads(pipe.profiles, n_clusters=2)
@@ -56,7 +55,7 @@ def test_bench_baselines(pipe, cross, benchmark, save_artifact):
         search = best_combination(cross, 2, "har")
         return raw_pair, pb_pair, km_pair, search
 
-    raw_pair, pb_pair, km_pair, search = benchmark.pedantic(run, rounds=1, iterations=1)
+    raw_pair, pb_pair, km_pair, search = run()
 
     scores = {
         "raw-characteristic subsetting": harmonic_ipt(cross, raw_pair),

@@ -15,7 +15,7 @@ from repro.communal import (
 from repro.experiments import render_heatmap
 
 
-def test_bench_dendrogram_critique(pipe, cross, benchmark, save_artifact):
+def test_bench_dendrogram_critique(pipe, cross, save_artifact):
     names = list(cross.names)
     distance = raw_distance_matrix(pipe.profiles)
 
@@ -26,7 +26,7 @@ def test_bench_dendrogram_critique(pipe, cross, benchmark, save_artifact):
         }
         return tree, reports
 
-    tree, reports = benchmark(run)
+    tree, reports = run()
 
     # At some useful cluster count the dendrogram contradicts the true
     # surrogate structure.

@@ -6,15 +6,12 @@ than β does (the motivating example for configurational
 characterization).
 """
 
-import numpy as np
-
-from repro.explore import AnnealingSchedule, XpScalar
-from repro.experiments import figure1, render_table
-from repro.workloads import figure1_profiles
+from repro.experiments import figure1, figure1_slowdowns
+from repro.experiments.artifacts import render_figure1_kiviat
 
 
-def test_bench_figure1(benchmark, save_artifact):
-    graphs, dist = benchmark(figure1)
+def test_bench_figure1(save_artifact):
+    graphs, dist = figure1()
     names = [g.name for g in graphs]
     a, b, g = names.index("alpha"), names.index("beta"), names.index("gamma")
 
@@ -24,23 +21,9 @@ def test_bench_figure1(benchmark, save_artifact):
 
     # Yet configurationally, gamma suits alpha's customized core at least
     # as well as beta does (the paper's argument in §1.1).
-    xp = XpScalar(schedule=AnnealingSchedule(iterations=1200))
-    profiles = figure1_profiles()
-    alpha = next(p for p in profiles if p.name == "alpha")
-    beta = next(p for p in profiles if p.name == "beta")
-    gamma = next(p for p in profiles if p.name == "gamma")
-    alpha_config = xp.customize(alpha, seed=5).config
-    slowdown_beta = 1 - xp.score(beta, alpha_config) / xp.customize(beta, seed=6).score
-    slowdown_gamma = 1 - xp.score(gamma, alpha_config) / xp.customize(gamma, seed=7).score
+    slowdown_beta, slowdown_gamma = figure1_slowdowns()
     assert slowdown_gamma <= slowdown_beta + 0.02
 
-    rows = [[g_.name] + [f"{v:.1f}" for v in g_.values] for g_ in graphs]
-    text = render_table(
-        ["workload", *graphs[0].axes], rows, title="Figure 1: Kiviat values (0-10)"
+    save_artifact(
+        "figure1_kiviat", render_figure1_kiviat((slowdown_beta, slowdown_gamma))
     )
-    text += (
-        f"\n\nraw distance alpha-beta {dist[a, b]:.2f}, alpha-gamma {dist[a, g]:.2f}"
-        f"\nslowdown on alpha's core: beta {slowdown_beta * 100:.1f}%, "
-        f"gamma {slowdown_gamma * 100:.1f}%"
-    )
-    save_artifact("figure1_kiviat", text)

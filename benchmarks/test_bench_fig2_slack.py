@@ -6,11 +6,12 @@ issue-queue slack by downsizing it; d instead upsizes the L1 to use the
 full two cycles at the original clock.
 """
 
-from repro.experiments import figure2_scenarios, render_table
+from repro.experiments import figure2_scenarios
+from repro.experiments.artifacts import render_figure2_slack
 
 
-def test_bench_figure2(benchmark, save_artifact):
-    scenarios = benchmark(figure2_scenarios)
+def test_bench_figure2(save_artifact):
+    scenarios = figure2_scenarios()
     by_name = {s.name: s for s in scenarios}
     a, b, c, d = (by_name[k] for k in "abcd")
 
@@ -24,37 +25,4 @@ def test_bench_figure2(benchmark, save_artifact):
     assert d.l1_capacity_bytes > a.l1_capacity_bytes
     assert d.l1_slack_ns < a.l1_slack_ns
 
-    rows = [
-        [
-            s.name,
-            f"{s.clock_ns:.2f}",
-            s.iq_size,
-            f"{s.iq_delay_ns:.2f}",
-            s.iq_cycles,
-            f"{s.iq_slack_ns:.2f}",
-            f"{s.l1_capacity_bytes // 1024}K",
-            f"{s.l1_delay_ns:.2f}",
-            s.l1_cycles,
-            f"{s.l1_slack_ns:.2f}",
-        ]
-        for s in scenarios
-    ]
-    save_artifact(
-        "figure2_slack",
-        render_table(
-            [
-                "scenario",
-                "clock",
-                "IQ",
-                "IQ ns",
-                "IQ cyc",
-                "IQ slack",
-                "L1",
-                "L1 ns",
-                "L1 cyc",
-                "L1 slack",
-            ],
-            rows,
-            title="Figure 2: clock/sizing slack scenarios",
-        ),
-    )
+    save_artifact("figure2_slack", render_figure2_slack())

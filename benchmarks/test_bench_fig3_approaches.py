@@ -11,13 +11,9 @@ from repro.communal import compare_approaches
 from repro.experiments import render_table
 
 
-def test_bench_figure3_approaches(pipe, cross, benchmark, save_artifact):
-    comparison = benchmark.pedantic(
-        lambda: compare_approaches(
-            pipe.explorer, pipe.profiles, cross, n_cores=2, seed=41
-        ),
-        rounds=1,
-        iterations=1,
+def test_bench_figure3_approaches(pipe, cross, save_artifact):
+    comparison = compare_approaches(
+        pipe.explorer, pipe.profiles, cross, n_cores=2, seed=41
     )
 
     assert comparison.configurational_harmonic >= (

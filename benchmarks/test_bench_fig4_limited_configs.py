@@ -6,11 +6,12 @@ configuration benefits few other benchmarks; every workload's
 own-customized-core series upper-bounds the rest.
 """
 
-from repro.experiments import figure4, render_table
+from repro.experiments import figure4
+from repro.experiments.artifacts import render_figure4_limited_configs
 
 
-def test_bench_figure4(cross, benchmark, save_artifact):
-    series = benchmark(lambda: figure4(cross))
+def test_bench_figure4(pipe, cross, save_artifact):
+    series = figure4(cross)
     by_label = {s.label: s for s in series}
 
     single = by_label["best single core"].ipt
@@ -38,15 +39,4 @@ def test_bench_figure4(cross, benchmark, save_artifact):
     ]
     assert len(helped) <= 3
 
-    rows = [
-        [w] + [f"{s.ipt[w]:.2f}" for s in series]
-        for w in cross.names
-    ]
-    save_artifact(
-        "figure4_limited_configs",
-        render_table(
-            ["benchmark"] + [s.label for s in series],
-            rows,
-            title="Figure 4: IPT on the best available core per config set",
-        ),
-    )
+    save_artifact("figure4_limited_configs", render_figure4_limited_configs(pipe))

@@ -7,11 +7,12 @@ between the greedy-with-propagation result and the ideal.
 """
 
 from repro.communal import surrogate_merits
-from repro.experiments import figure6, render_surrogate_graph
+from repro.experiments import figure6
+from repro.experiments.artifacts import render_figure6_surrogates_none
 
 
-def test_bench_figure6(cross, benchmark, save_artifact):
-    graph = benchmark(lambda: figure6(cross))
+def test_bench_figure6(pipe, cross, save_artifact):
+    graph = figure6(cross)
 
     assert graph.policy.value == "none"
     assert graph.stalled
@@ -26,9 +27,4 @@ def test_bench_figure6(cross, benchmark, save_artifact):
     assert 0 < merits["harmonic_ipt"]
     assert 0 <= merits["average_slowdown"] < 0.5
 
-    text = render_surrogate_graph(graph)
-    text += (
-        f"\nharmonic IPT {merits['harmonic_ipt']:.2f}, "
-        f"average slowdown {merits['average_slowdown'] * 100:.1f}%"
-    )
-    save_artifact("figure6_surrogates_none", text)
+    save_artifact("figure6_surrogates_none", render_figure6_surrogates_none(pipe))

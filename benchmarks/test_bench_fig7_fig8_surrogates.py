@@ -7,11 +7,15 @@ entries; forward-only and full propagation may pick different groupings.
 """
 
 from repro.communal import best_combination, surrogate_merits
-from repro.experiments import figure7, figure8, render_surrogate_graph
+from repro.experiments import figure7, figure8
+from repro.experiments.artifacts import (
+    render_figure7_surrogates_full,
+    render_figure8_surrogates_forward,
+)
 
 
-def test_bench_figure7_full_propagation(cross, benchmark, save_artifact):
-    graph = benchmark(lambda: figure7(cross, target_roots=2))
+def test_bench_figure7_full_propagation(pipe, cross, save_artifact):
+    graph = figure7(cross, target_roots=2)
 
     assert graph.policy.value == "full"
     assert len(graph.roots) == 2
@@ -28,16 +32,11 @@ def test_bench_figure7_full_propagation(cross, benchmark, save_artifact):
     off_diag = slowdown + np.eye(cross.size) * 10
     assert graph.edges[0].slowdown <= off_diag.min() + 1e-9
 
-    text = render_surrogate_graph(graph)
-    text += (
-        f"\nharmonic IPT {merits['harmonic_ipt']:.2f} "
-        f"(complete search: {exhaustive:.2f})"
-    )
-    save_artifact("figure7_surrogates_full", text)
+    save_artifact("figure7_surrogates_full", render_figure7_surrogates_full(pipe))
 
 
-def test_bench_figure8_forward_propagation(cross, benchmark, save_artifact):
-    graph = benchmark(lambda: figure8(cross, target_roots=2))
+def test_bench_figure8_forward_propagation(pipe, cross, save_artifact):
+    graph = figure8(cross, target_roots=2)
 
     assert graph.policy.value == "forward"
     assert len(graph.roots) <= 3
@@ -53,6 +52,4 @@ def test_bench_figure8_forward_propagation(cross, benchmark, save_artifact):
     exhaustive = best_combination(cross, 2, "har").harmonic
     assert merits["harmonic_ipt"] <= exhaustive + 1e-9
 
-    text = render_surrogate_graph(graph)
-    text += f"\nharmonic IPT {merits['harmonic_ipt']:.2f}"
-    save_artifact("figure8_surrogates_forward", text)
+    save_artifact("figure8_surrogates_forward", render_figure8_surrogates_forward(pipe))

@@ -12,18 +12,14 @@ from repro.sim import validate_interval_model
 from repro.uarch import initial_configuration
 
 
-def test_bench_simulator_validation(pipe, benchmark, save_artifact):
+def test_bench_simulator_validation(pipe, save_artifact):
     base = initial_configuration(pipe.explorer.tech)
     pairs = [(p, base) for p in pipe.profiles]
     pairs += [
         (p, pipe.characteristics[p.name].config) for p in pipe.profiles
     ]
 
-    report = benchmark.pedantic(
-        lambda: validate_interval_model(pairs, trace_length=10_000, seed=4),
-        rounds=1,
-        iterations=1,
-    )
+    report = validate_interval_model(pairs, trace_length=10_000, seed=4)
 
     assert report.pairs == 22
     assert report.rank_correlation > 0.55

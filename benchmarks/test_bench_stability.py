@@ -10,12 +10,8 @@ the modelled system, not of one lucky annealing trajectory.
 from repro.experiments import render_table, stability_analysis
 
 
-def test_bench_stability(benchmark, save_artifact):
-    report = benchmark.pedantic(
-        lambda: stability_analysis(seeds=(11, 22, 33), iterations=800),
-        rounds=1,
-        iterations=1,
-    )
+def test_bench_stability(save_artifact):
+    report = stability_analysis(seeds=(11, 22, 33), iterations=800)
 
     assert report.outlier_in_pair_rate >= 2 / 3
     assert report.table7_ordering_rate >= 2 / 3

@@ -11,7 +11,7 @@ from repro.communal import closest_pairs, cluster_workloads, subsetting_experime
 from repro.experiments import render_table
 
 
-def test_bench_subsetting(pipe, cross, benchmark, save_artifact):
+def test_bench_subsetting(pipe, cross, save_artifact):
     # Run the exclusion at the smallest core count whose best set
     # actually uses bzip's configuration (the paper's k=2 search happens
     # to; with our calibration it may be k=3 or k=4).
@@ -25,11 +25,7 @@ def test_bench_subsetting(pipe, cross, benchmark, save_artifact):
     else:
         candidate_k = None
 
-    exp = benchmark(
-        lambda: subsetting_experiment(
-            cross, dropped="bzip", representative="gzip", k=k
-        )
-    )
+    exp = subsetting_experiment(cross, dropped="bzip", representative="gzip", k=k)
 
     # Premise: raw characteristics say the compressors are similar.
     pairs = closest_pairs(pipe.profiles, top=28)

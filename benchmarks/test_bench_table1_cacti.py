@@ -6,7 +6,8 @@ direct-mapped data path (wakeup+select = issue-queue loop), and the
 delays land in the regime the paper's Table 4 implies.
 """
 
-from repro.experiments import render_kv, table1_unit_delays
+from repro.experiments import table1_unit_delays
+from repro.experiments.artifacts import render_table1_cacti
 from repro.tech import (
     CactiModel,
     default_technology,
@@ -19,10 +20,10 @@ from repro.tech import (
 from repro.uarch import initial_configuration
 
 
-def test_bench_table1(benchmark, save_artifact):
+def test_bench_table1(save_artifact):
     tech = default_technology()
     config = initial_configuration(tech)
-    delays = benchmark(lambda: table1_unit_delays(config, tech))
+    delays = table1_unit_delays(config, tech)
 
     assert all(v > 0 for v in delays.values())
     assert delays["issue queue (wakeup+select)"] == (
@@ -38,10 +39,4 @@ def test_bench_table1(benchmark, save_artifact):
     assert regfile_ns(model, 1024, 4) > regfile_ns(model, 128, 4)
     assert issue_queue_ns(model, 64, 8) > issue_queue_ns(model, 64, 2)
 
-    save_artifact(
-        "table1_cacti",
-        render_kv(
-            {k: f"{v:.3f} ns" for k, v in delays.items()},
-            title="Table 1: unit delays for the Table 3 configuration",
-        ),
-    )
+    save_artifact("table1_cacti", render_table1_cacti())

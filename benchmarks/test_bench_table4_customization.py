@@ -9,12 +9,13 @@ configuration is timing-legal.
 
 import numpy as np
 
-from repro.experiments import render_table, table2_fixed_parameters, table4_rows
+from repro.experiments import table4_rows
+from repro.experiments.artifacts import render_table4_customization
 from repro.uarch import validate_config
 
 
-def test_bench_table4(pipe, benchmark, save_artifact):
-    headers, rows = benchmark(lambda: table4_rows(pipe.characteristics))
+def test_bench_table4(pipe, save_artifact):
+    headers, rows = table4_rows(pipe.characteristics)
 
     chars = pipe.characteristics
     configs = {n: c.config for n, c in chars.items()}
@@ -40,8 +41,4 @@ def test_bench_table4(pipe, benchmark, save_artifact):
     l2_caps = {n: c.l2.capacity_bytes for n, c in configs.items()}
     assert max(l2_caps.values()) >= 2 * min(l2_caps.values())
 
-    text = render_table(headers, rows, title="Table 4: customized configurations")
-    text += "\n\nfixed parameters (Table 2):\n"
-    for k, v in table2_fixed_parameters(pipe.explorer.tech).items():
-        text += f"  {k}: {v}\n"
-    save_artifact("table4_customization", text)
+    save_artifact("table4_customization", render_table4_customization(pipe))

@@ -8,11 +8,12 @@ punishes the fast-clock workloads the way the paper reports.
 
 import numpy as np
 
-from repro.experiments import render_matrix, table5_matrix
+from repro.experiments import table5_matrix
+from repro.experiments.artifacts import render_table5_cross_ipt
 
 
-def test_bench_table5(pipe, cross, benchmark, save_artifact):
-    matrix = benchmark(lambda: table5_matrix(cross))
+def test_bench_table5(pipe, cross, save_artifact):
+    matrix = table5_matrix(cross)
 
     # Diagonal dominance per row.
     for i in range(cross.size):
@@ -32,10 +33,4 @@ def test_bench_table5(pipe, cross, benchmark, save_artifact):
     worst = max(slowdown[i, k] for k in range(cross.size) if k != i)
     assert worst > 0.25
 
-    save_artifact(
-        "table5_cross_ipt",
-        render_matrix(
-            list(cross.names), matrix, title="Table 5: IPT of each benchmark (rows) "
-            "on each customized configuration (columns)"
-        ),
-    )
+    save_artifact("table5_cross_ipt", render_table5_cross_ipt(pipe))

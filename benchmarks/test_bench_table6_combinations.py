@@ -7,11 +7,12 @@ monotonically with core count toward the every-workload-ideal.
 """
 
 from repro.communal import ideal_average_ipt, ideal_harmonic_ipt
-from repro.experiments import render_table, table6_rows
+from repro.experiments import table6_rows
+from repro.experiments.artifacts import render_table6_combinations
 
 
-def test_bench_table6(cross, benchmark, save_artifact):
-    rows = benchmark(lambda: table6_rows(cross))
+def test_bench_table6(pipe, cross, save_artifact):
+    rows = table6_rows(cross)
     by_label = {r.label: r.combination for r in rows}
 
     best1 = by_label["best config for avg & har IPT"]
@@ -33,21 +34,4 @@ def test_bench_table6(cross, benchmark, save_artifact):
     assert best4_har.harmonic <= ideal_harmonic_ipt(cross) + 1e-9
     assert best2_avg.average <= ideal_average_ipt(cross) + 1e-9
 
-    table = [
-        [r.label, ", ".join(r.combination.configs),
-         f"{r.combination.average:.2f}", f"{r.combination.harmonic:.2f}",
-         f"{r.combination.contention_weighted:.2f}"]
-        for r in rows
-    ]
-    table.append(
-        ["each benchmark on its own customized architecture", "-",
-         f"{ideal_average_ipt(cross):.2f}", f"{ideal_harmonic_ipt(cross):.2f}", "-"]
-    )
-    save_artifact(
-        "table6_combinations",
-        render_table(
-            ["scenario", "customized core(s)", "avg IPT", "har IPT", "cw-har IPT"],
-            table,
-            title="Table 6: best core combinations",
-        ),
-    )
+    save_artifact("table6_combinations", render_table6_combinations(pipe))

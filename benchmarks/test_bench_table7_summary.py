@@ -5,11 +5,12 @@ greedy-surrogate 2-core, and complete search >= homogeneous; every
 non-ideal scenario shows a positive slowdown vs the ideal.
 """
 
-from repro.experiments import render_table, table7_summary
+from repro.experiments import table7_summary
+from repro.experiments.artifacts import render_table7_summary
 
 
-def test_bench_table7(cross, benchmark, save_artifact):
-    s = benchmark(lambda: table7_summary(cross))
+def test_bench_table7(pipe, cross, save_artifact):
+    s = table7_summary(cross)
 
     assert s.ideal_harmonic >= s.complete_search_harmonic - 1e-9
     assert s.complete_search_harmonic >= s.surrogate_harmonic - 1e-9
@@ -17,33 +18,4 @@ def test_bench_table7(cross, benchmark, save_artifact):
     assert s.slowdown_vs_ideal(s.homogeneous_harmonic) >= 0.0
     assert s.slowdown_vs_ideal(s.surrogate_harmonic) >= 0.0
 
-    rows = [
-        [
-            "Ideal (every workload on its own customized arch)",
-            f"{s.ideal_harmonic:.2f}",
-            "0%",
-        ],
-        [
-            f"Homogeneous: best single config ({s.homogeneous_config})",
-            f"{s.homogeneous_harmonic:.2f}",
-            f"{s.slowdown_vs_ideal(s.homogeneous_harmonic) * 100:.0f}%",
-        ],
-        [
-            f"Heterogeneous via complete search ({', '.join(s.complete_search_configs)})",
-            f"{s.complete_search_harmonic:.2f}",
-            f"{s.slowdown_vs_ideal(s.complete_search_harmonic) * 100:.0f}%",
-        ],
-        [
-            f"Heterogeneous via greedy surrogates ({', '.join(s.surrogate_configs)})",
-            f"{s.surrogate_harmonic:.2f}",
-            f"{s.slowdown_vs_ideal(s.surrogate_harmonic) * 100:.0f}%",
-        ],
-    ]
-    save_artifact(
-        "table7_summary",
-        render_table(
-            ["scenario", "harmonic-mean IPT", "slowdown vs ideal"],
-            rows,
-            title="Table 7: dual-core CMP design approaches",
-        ),
-    )
+    save_artifact("table7_summary", render_table7_summary(pipe))

@@ -12,15 +12,18 @@ Run:  python examples/heterogeneous_cmp_design.py [--fast]
 
 import sys
 
-from repro.communal import Propagation, greedy_surrogates, surrogate_merits
-from repro.experiments import (
-    render_matrix,
-    render_surrogate_graph,
-    render_table,
-    run_pipeline,
-    table4_rows,
-    table6_rows,
-    table7_summary,
+from repro.experiments import run_pipeline
+from repro.experiments.artifacts import render
+
+#: The paper's flow in order: configurations, the cross matrix and its
+#: slowdowns, combinations, the greedy reduction and the summary.
+ARTIFACTS = (
+    "table4_customization",
+    "table5_cross_ipt",
+    "appendix_a_slowdowns",
+    "table6_combinations",
+    "figure7_surrogates_full",
+    "table7_summary",
 )
 
 
@@ -29,42 +32,8 @@ def main() -> None:
     print(f"running the exploration pipeline ({iterations} annealing "
           f"iterations per workload; use --fast for a quick pass)...\n")
     pipe = run_pipeline(iterations=iterations)
-    cross = pipe.cross
-
-    headers, rows = table4_rows(pipe.characteristics, list(cross.names))
-    print(render_table(headers, rows, title="Customized configurations (Table 4)"))
-
-    print()
-    print(render_matrix(list(cross.names), cross.ipt,
-                        title="Cross-configuration IPT (Table 5)"))
-    print()
-    print(render_matrix(list(cross.names), cross.slowdown_matrix(),
-                        percent=True, fmt="{:5.1f}",
-                        title="Slowdown on foreign configurations (Appendix A)"))
-
-    print("\nBest core combinations (Table 6):")
-    for row in table6_rows(cross):
-        c = row.combination
-        print(f"  {row.label:35s} {', '.join(c.configs):30s} "
-              f"avg {c.average:.2f}  har {c.harmonic:.2f}  cw {c.contention_weighted:.2f}")
-
-    graph = greedy_surrogates(cross, Propagation.FULL, target_roots=2)
-    print("\nGreedy surrogate reduction to two cores (Figure 7):")
-    print(render_surrogate_graph(graph))
-    merits = surrogate_merits(cross, graph)
-    print(f"greedy harmonic IPT: {merits['harmonic_ipt']:.2f}")
-
-    s = table7_summary(cross)
-    print("\nSummary (Table 7):")
-    print(f"  ideal                 {s.ideal_harmonic:.2f}")
-    print(f"  homogeneous ({s.homogeneous_config:7s})  {s.homogeneous_harmonic:.2f}  "
-          f"(-{s.slowdown_vs_ideal(s.homogeneous_harmonic) * 100:.0f}%)")
-    print(f"  complete search ({'+'.join(s.complete_search_configs)})  "
-          f"{s.complete_search_harmonic:.2f}  "
-          f"(-{s.slowdown_vs_ideal(s.complete_search_harmonic) * 100:.0f}%)")
-    print(f"  greedy surrogates ({'+'.join(s.surrogate_configs)})  "
-          f"{s.surrogate_harmonic:.2f}  "
-          f"(-{s.slowdown_vs_ideal(s.surrogate_harmonic) * 100:.0f}%)")
+    # The same text as results/<name>.txt (at the default 2500 iterations).
+    print("\n".join(render(name, pipe) for name in ARTIFACTS), end="")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ import pathlib
 import sys
 from typing import Sequence
 
-from .communal import surrogate_merits
 from .communal.combination import DEFAULT_BEAM_WIDTH
 from .communal.merit import MERITS
 from .design import (
@@ -84,25 +83,14 @@ from .engine import trace as trace_analysis
 from .errors import RunError
 from .experiments import (
     build_engine,
-    write_artifact,
-    figure1,
-    figure2_scenarios,
-    figure4,
-    figure6,
-    figure7,
-    figure8,
     render_kv,
-    render_matrix,
-    render_surrogate_graph,
     render_table,
     run_pipeline,
-    table1_unit_delays,
     table2_fixed_parameters,
     table3_initial_configuration,
-    table4_rows,
-    table6_rows,
-    table7_summary,
+    write_artifact,
 )
+from .experiments import artifacts
 from .errors import ReproError
 from .explore import AnnealingSchedule, ClockSweep, XpScalar
 from .search import SearchBudget, strategy_names
@@ -404,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report", parents=[engine_opts, search_opts],
-        help="regenerate every table/figure artifact into a directory",
+        help="write every table/figure artifact into a directory (at the "
+             "defaults, the committed results/ files)",
     )
     p.add_argument("--out", default="results")
     p.add_argument("--iterations", type=int, default=2500)
@@ -787,92 +776,26 @@ def cmd_customize(args) -> int:
     return _finish(args, engine)
 
 
+def _print_artifact(args, name: str) -> int:
+    """Print one paper artifact: the text committed in results/<name>.txt."""
+    pipe = _pipeline(args) if name in artifacts.FROM_PIPELINE else None
+    sys.stdout.write(artifacts.render(name, pipe))
+    return _finish(args, pipe.engine if pipe else None)
+
+
 def cmd_table(args) -> int:
-    which = args.which
-    if which == "1":
-        config = initial_configuration(XpScalar().tech)
-        print(render_kv({k: f"{v:.3f} ns" for k, v in table1_unit_delays(config).items()},
-                        title="Table 1: unit delays (Table 3 configuration)"))
-        return 0
-    if which == "2":
+    if args.which == "2":
         print(render_kv(table2_fixed_parameters(), title="Table 2: fixed parameters"))
         return 0
-    if which == "3":
+    if args.which == "3":
         print("Table 3: initial configuration")
         print(table3_initial_configuration().describe())
         return 0
-
-    pipe = _pipeline(args)
-    cross = pipe.cross
-    if which == "4":
-        headers, rows = table4_rows(pipe.characteristics, list(cross.names))
-        print(render_table(headers, rows, title="Table 4: customized configurations"))
-    elif which == "5":
-        print(render_matrix(list(cross.names), cross.ipt,
-                            title="Table 5: cross-configuration IPT"))
-    elif which == "6":
-        print("Table 6: best core combinations")
-        for row in table6_rows(cross):
-            c = row.combination
-            print(f"  {row.label:35s} {', '.join(c.configs):30s} "
-                  f"avg {c.average:.2f}  har {c.harmonic:.2f}  "
-                  f"cw {c.contention_weighted:.2f}")
-    elif which == "7":
-        s = table7_summary(cross)
-        rows = [
-            ["ideal", f"{s.ideal_harmonic:.2f}", "0%"],
-            [f"homogeneous ({s.homogeneous_config})",
-             f"{s.homogeneous_harmonic:.2f}",
-             f"{s.slowdown_vs_ideal(s.homogeneous_harmonic) * 100:.0f}%"],
-            [f"complete search ({', '.join(s.complete_search_configs)})",
-             f"{s.complete_search_harmonic:.2f}",
-             f"{s.slowdown_vs_ideal(s.complete_search_harmonic) * 100:.0f}%"],
-            [f"greedy surrogates ({', '.join(s.surrogate_configs)})",
-             f"{s.surrogate_harmonic:.2f}",
-             f"{s.slowdown_vs_ideal(s.surrogate_harmonic) * 100:.0f}%"],
-        ]
-        print(render_table(["scenario", "har IPT", "slowdown"], rows,
-                           title="Table 7: dual-core summary"))
-    else:  # appendix a
-        print(render_matrix(list(cross.names), cross.slowdown_matrix(),
-                            percent=True, fmt="{:5.1f}",
-                            title="Appendix A: slowdowns"))
-    return _finish(args, pipe.engine)
+    return _print_artifact(args, artifacts.TABLES[args.which])
 
 
 def cmd_figure(args) -> int:
-    which = args.which
-    if which == "1":
-        graphs, dist = figure1()
-        rows = [[g.name] + [f"{v:.1f}" for v in g.values] for g in graphs]
-        print(render_table(["workload", *graphs[0].axes], rows,
-                           title="Figure 1: Kiviat values (0-10)"))
-        return 0
-    if which == "2":
-        rows = [
-            [s.name, f"{s.clock_ns:.2f}", s.iq_size, f"{s.iq_slack_ns:.2f}",
-             f"{s.l1_capacity_bytes // 1024}K", f"{s.l1_slack_ns:.2f}"]
-            for s in figure2_scenarios()
-        ]
-        print(render_table(
-            ["scenario", "clock", "IQ", "IQ slack", "L1", "L1 slack"], rows,
-            title="Figure 2: slack scenarios"))
-        return 0
-
-    pipe = _pipeline(args)
-    cross = pipe.cross
-    if which == "4":
-        series = figure4(cross)
-        rows = [[w] + [f"{s.ipt[w]:.2f}" for s in series] for w in cross.names]
-        print(render_table(["benchmark"] + [s.label for s in series], rows,
-                           title="Figure 4: IPT per configuration set"))
-    else:
-        graph = {"6": figure6, "7": figure7, "8": figure8}[which](cross)
-        print(render_surrogate_graph(graph))
-        merits = surrogate_merits(cross, graph)
-        print(f"harmonic IPT {merits['harmonic_ipt']:.2f}, "
-              f"average slowdown {merits['average_slowdown'] * 100:.1f}%")
-    return _finish(args, pipe.engine)
+    return _print_artifact(args, artifacts.FIGURES[args.which])
 
 
 def cmd_sweep(args) -> int:
@@ -1036,54 +959,11 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _report_artifacts(pipe) -> dict[str, str]:
-    """Every report rendering, keyed by artifact stem."""
-    from .experiments import appendix_a_matrix, render_heatmap
-
-    cross = pipe.cross
-    headers, rows = table4_rows(pipe.characteristics, list(cross.names))
-    artifacts = {
-        "table4_customization": render_table(
-            headers, rows, title="Table 4: customized configurations"
-        ),
-        "table5_cross_ipt": render_matrix(
-            list(cross.names), cross.ipt, title="Table 5: cross-configuration IPT"
-        ),
-        "appendix_a_slowdowns": render_matrix(
-            list(cross.names), appendix_a_matrix(cross), percent=True,
-            fmt="{:5.1f}", title="Appendix A: slowdowns",
-        ),
-        "slowdown_heatmap": render_heatmap(
-            list(cross.names), cross.slowdown_matrix(),
-            title="cross-configuration slowdowns",
-        ),
-    }
-    for figure_fn, name in ((figure6, "figure6"), (figure7, "figure7"), (figure8, "figure8")):
-        artifacts[name] = render_surrogate_graph(figure_fn(cross))
-    table6_lines = ["Table 6: best core combinations"]
-    for row in table6_rows(cross):
-        c = row.combination
-        table6_lines.append(
-            f"  {row.label:35s} {', '.join(c.configs):30s} "
-            f"avg {c.average:.2f}  har {c.harmonic:.2f}"
-        )
-    artifacts["table6_combinations"] = "\n".join(table6_lines)
-    s = table7_summary(cross)
-    artifacts["table7_summary"] = (
-        f"ideal {s.ideal_harmonic:.2f} | "
-        f"homogeneous {s.homogeneous_harmonic:.2f} ({s.homogeneous_config}) | "
-        f"search {s.complete_search_harmonic:.2f} "
-        f"({', '.join(s.complete_search_configs)}) | "
-        f"surrogates {s.surrogate_harmonic:.2f} ({', '.join(s.surrogate_configs)})"
-    )
-    return artifacts
-
-
 def _write_report(args, pipe, out: pathlib.Path) -> None:
     """Atomically persist every report artifact into ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     run = getattr(args, "_run", None)
-    for name, text in _report_artifacts(pipe).items():
+    for name, text in artifacts.render_report(pipe).items():
         path = out / f"{name}.txt"
         write_artifact(path, text)
         if run is not None:

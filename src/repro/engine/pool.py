@@ -220,16 +220,11 @@ class EvaluationEngine:
                 f"but this engine has 1 worker (jobs={jobs}, "
                 f"{available_cpus()} CPU(s) available)"
             )
-        self.cache: ResultCache | None
-        if cache is _DEFAULT_CACHE:
-            self.cache = ResultCache(path=None)
-        else:
-            self.cache = cache  # type: ignore[assignment]
         self.events = events or EventBus()
         self.metrics = EngineMetrics(self.events)
-        if self.cache is not None:
-            self.cache.on_quarantine = self._on_cache_quarantine
-            self.cache.on_degrade = self._on_cache_degrade
+        self.attach_cache(
+            ResultCache(path=None) if cache is _DEFAULT_CACHE else cache  # type: ignore[arg-type]
+        )
         self._simulator_id = simulator_id(self.simulator)
         self._context_digest = "" if context is None else digest(context)
         self._context_bound = context is not None
@@ -693,10 +688,9 @@ class EvaluationEngine:
         self.workers = 1
         self.policy = state.get("policy") or RetryPolicy()
         self.faults = None
-        self.cache = ResultCache(path=None)
         self.events = EventBus()
         self.metrics = EngineMetrics(self.events)
-        self.cache.on_quarantine = self._on_cache_quarantine
+        self.attach_cache(ResultCache(path=None))
         self._simulator_id = simulator_id(self.simulator)
         self._context_digest = state["context_digest"]
         self._context_bound = state["context_bound"]
@@ -704,6 +698,14 @@ class EvaluationEngine:
         self._executor = None
         self._pool_broken = False
         self._pool_deaths = 0
+
+    def attach_cache(self, cache: ResultCache | None) -> None:
+        """Evaluate through ``cache`` (``None`` disables caching), with its
+        quarantine and degrade notices on this engine's bus."""
+        self.cache = cache
+        if cache is not None:
+            cache.on_quarantine = self._on_cache_quarantine
+            cache.on_degrade = self._on_cache_degrade
 
     def _on_cache_quarantine(self, key: str, reason: str) -> None:
         self.events.emit("quarantine", tier="cache", key=key, reason=reason)

@@ -16,6 +16,8 @@ import numpy as np
 from ..characterize.cross import CrossPerformance
 from ..communal.combination import best_combination, per_workload_ipt
 from ..communal.surrogate import Propagation, SurrogateGraph, greedy_surrogates
+from ..explore.xpscalar import XpScalar
+from ..search.anneal import AnnealingSchedule
 from ..tech import CactiModel, TechnologyNode, default_technology
 from ..tech.unitdelay import issue_queue_ns, l1_cache_ns
 from ..units import cycles_for
@@ -35,6 +37,23 @@ def figure1() -> tuple[list[KiviatGraph], np.ndarray]:
     """Kiviat graphs of the α/β/γ workloads plus their distance matrix."""
     graphs = kiviat_graphs(figure1_profiles())
     return graphs, kiviat_distance_matrix(graphs)
+
+
+#: Annealing budget of Figure 1's three customizations.  The figure is
+#: one fixed example, so it does not follow a pipeline's budget.
+FIGURE1_ITERATIONS = 1200
+
+
+def figure1_slowdowns() -> tuple[float, float]:
+    """Slowdowns of β and γ on α's customized core (the §1.1 argument:
+    γ, far from α in raw characteristics, suits α's core as well as β)."""
+    xp = XpScalar(schedule=AnnealingSchedule(iterations=FIGURE1_ITERATIONS))
+    profiles = {p.name: p for p in figure1_profiles()}
+    alpha_config = xp.customize(profiles["alpha"], seed=5).config
+    beta, gamma = profiles["beta"], profiles["gamma"]
+    slowdown_beta = 1 - xp.score(beta, alpha_config) / xp.customize(beta, seed=6).score
+    slowdown_gamma = 1 - xp.score(gamma, alpha_config) / xp.customize(gamma, seed=7).score
+    return slowdown_beta, slowdown_gamma
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,10 @@ run, the way the paper's three-week exploration output feeds every
 result section.
 
 All simulation goes through one :class:`~repro.engine.EvaluationEngine`:
-``jobs`` parallelizes the per-workload explorations and the matrix fill,
-``cache_dir`` persists the result cache (SQLite) and the exploration
-checkpoint across processes, and ``resume`` continues an interrupted
-exploration from its checkpoint.
+its ``jobs`` parallelize the per-workload explorations and the matrix
+fill, ``cache_dir`` persists the result cache (SQLite) and the
+exploration checkpoint across processes, and ``resume`` continues an
+interrupted exploration from its checkpoint.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from ..engine import (
 )
 from ..search.anneal import AnnealingSchedule
 from ..explore.xpscalar import XpScalar
-from ..search import SearchBudget, SearchStrategy
 from ..workloads.profile import WorkloadProfile
 from ..workloads.spec2000 import spec2000_profiles
 
@@ -118,15 +117,15 @@ def build_engine(
     the default retry/timeout policy of pooled map tasks; ``faults``
     arms deterministic fault injection in those tasks (chaos/testing
     runs — results are unchanged) and needs a pool of two or more workers.
+    The store opens only once the engine has accepted these arguments,
+    so a refused engine leaves no file behind.
     """
-    cache: ResultCache | None
-    if not use_cache:
-        cache = None
-    elif cache_dir is not None:
-        cache = ResultCache(Path(cache_dir) / CACHE_FILE)
-    else:
-        cache = ResultCache()
-    return EvaluationEngine(jobs=jobs, cache=cache, policy=policy, faults=faults)
+    engine = EvaluationEngine(jobs=jobs, cache=None, policy=policy, faults=faults)
+    if use_cache:
+        engine.attach_cache(
+            ResultCache(None if cache_dir is None else Path(cache_dir) / CACHE_FILE)
+        )
+    return engine
 
 
 def run_pipeline(
@@ -135,42 +134,25 @@ def run_pipeline(
     seed: int = DEFAULT_SEED,
     explorer: XpScalar | None = None,
     cross_seed_rounds: int = 2,
-    jobs: int = 1,
     cache_dir: str | Path | None = None,
-    use_cache: bool = True,
     resume: bool = False,
-    policy: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    strategy: str | SearchStrategy = "anneal",
-    budget: SearchBudget | None = None,
-    restarts: int = 4,
 ) -> PipelineResult:
     """Run exploration + characterization + cross-evaluation.
 
     Results are identical for a given (seed, iterations) at every
-    ``jobs`` setting — including under an armed fault plan or a pool
-    that dies mid-run; resilience only changes how fast results arrive.
-    ``strategy`` selects the search policy by name (default ``anneal``,
-    the paper's search — bit-identical to the pre-strategy pipeline);
-    ``budget`` bounds every per-workload search uniformly.  When an
-    ``explorer`` is supplied it brings its own engine and strategy and
-    the ``jobs``/``cache_dir``/``use_cache``/``policy``/``faults``/
-    ``strategy``/``budget``/``restarts`` knobs are ignored.
+    ``jobs`` setting of the engine — including under an armed fault
+    plan or a pool that dies mid-run; resilience only changes how fast
+    results arrive.  Without an ``explorer`` the paper's annealing
+    search runs on a :func:`build_engine` engine over ``cache_dir``; a
+    caller wanting another engine, strategy or budget passes an
+    ``explorer`` that brings them (``iterations`` is then only a span
+    attribute).
     """
     profiles = list(profiles) if profiles is not None else spec2000_profiles()
     if explorer is None:
         explorer = XpScalar(
             schedule=AnnealingSchedule(iterations=iterations),
-            engine=build_engine(
-                jobs=jobs,
-                cache_dir=cache_dir,
-                use_cache=use_cache,
-                policy=policy,
-                faults=faults,
-            ),
-            strategy=strategy,
-            budget=budget,
-            restarts=restarts,
+            engine=build_engine(cache_dir=cache_dir),
         )
     events = explorer.engine.events
     if events.tracing:

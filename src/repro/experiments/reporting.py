@@ -1,11 +1,12 @@
 """Plain-text rendering of tables, matrices and surrogate graphs.
 
-The benchmark harness prints the same rows/series the paper reports;
-these helpers keep that formatting in one place.  When a rendering is
-persisted (``repro report``, ``--out`` JSON files), it goes through
-:func:`write_artifact` / :func:`write_json_artifact` — thin wrappers
-over :mod:`repro.engine.io_atomic` — so report files are atomic like
-every other artifact: a crash mid-report never leaves a torn table.
+These helpers keep the formatting of the paper's rows and series in one
+place; :mod:`repro.experiments.artifacts` composes them into the one
+renderer per committed ``results/`` file.  Every persisted rendering
+(the benchmarks' ``results/``, ``repro report``, ``--out`` JSON files)
+goes through :func:`write_artifact` / :func:`write_json_artifact` —
+thin wrappers over :mod:`repro.engine.io_atomic` — so artifacts are
+atomic: a crash mid-report never leaves a torn table.
 """
 
 from __future__ import annotations

@@ -63,9 +63,9 @@ def stability_analysis(
     seeds: Sequence[int],
     iterations: int = 1000,
     profiles: Sequence[WorkloadProfile] | None = None,
-    outlier: str = "mcf",
 ) -> StabilityReport:
-    """Run the pipeline once per seed and collect headline outcomes."""
+    """Run the pipeline once per seed and collect headline outcomes
+    (the memory outlier is mcf, as in the paper's Table 6)."""
     outcomes = []
     for seed in seeds:
         pipe = run_pipeline(
@@ -86,7 +86,7 @@ def stability_analysis(
                 ideal_harmonic=ideal_harmonic_ipt(cross),
                 best_single=best1.configs[0],
                 best_pair=best2.configs,
-                pair_includes_outlier=outlier in best2.configs,
+                pair_includes_outlier="mcf" in best2.configs,
                 table7_ordered=ordered,
             )
         )

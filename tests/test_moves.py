@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import TimingError
+from repro.errors import ConfigurationError, TimingError
 from repro.explore import MoveGenerator
 from repro.explore.moves import _MOVE_CDF, _MOVE_WEIGHTS, pick, weighted_index
-from repro.uarch import DesignSpace, initial_configuration, validate_config
+from repro.uarch import CacheGeometry, DesignSpace, initial_configuration, validate_config
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,22 @@ class TestIndividualMoves:
             assert candidate.l1.latency_cycles == initial_config.l1.latency_cycles or (
                 candidate.l2.latency_cycles == initial_config.l2.latency_cycles
             )
+
+
+    def test_cache_pick_below_l1_is_refused_before_the_refit(self, tech, model, space):
+        """L2 >= L1 holds for the move's own pick, as if it replaced the
+        geometry in the configuration.  Here the start's 512 KB L1 cannot
+        be met in 6 cycles at 0.18 ns.  A hand-built start gets every unit
+        re-fitted, and that refit would shrink the L1 below the L2 pick.
+        Still, the pick is refused, not repaired."""
+        start = initial_configuration(tech).replace(
+            clock_period_ns=0.18, rob_size=32, iq_size=16, lsq_size=16,
+            wakeup_latency=3, scheduler_depth=3, lsq_depth=4,
+            l1=CacheGeometry(2048, 4, 64, 6), l2=CacheGeometry(2048, 4, 64, 20),
+        )
+        moves = MoveGenerator(tech, model, space)
+        with pytest.raises(ConfigurationError, match="smaller than L1"):
+            moves.geometry_move(start, np.random.default_rng(0))
 
 
 class TestPropose:
