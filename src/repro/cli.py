@@ -447,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8023,
                    help="TCP port (default: 8023; 0 picks an ephemeral port)")
     p.add_argument("--jobs", type=int, default=2, metavar="N",
-                   help="concurrent job slots, each a thread with its own "
-                        "engine (default: 2)")
+                   help="concurrent job slots, each running its jobs in a "
+                        "worker process with its own engine (default: 2)")
     p.add_argument(
         "--cache-backend", default="memory", metavar="SPEC",
         help="shared result store: 'memory', 'sqlite:<file>', "

@@ -1,4 +1,4 @@
-"""The exploration service: job-slot threads over one shared result store.
+"""The exploration service: job slots in worker processes over one shared store.
 
 ``repro serve`` turns the one-shot CLI into a long-running multi-tenant
 HTTP API (ROADMAP: *serve heavy traffic from a long-lived process*).
@@ -12,21 +12,25 @@ The moving parts:
 * **admission** — a :class:`FairShareScheduler` with bounded per-tenant
   queues (429 on overflow) and per-tenant budget caps;
 * **execution** — ``--jobs`` slot threads, each blocked in
-  :meth:`FairShareScheduler.take` until a job is ready.  A slot opens
-  its own serial :class:`EvaluationEngine` with its first job and keeps
-  it; every engine owns its *own* connection to the *shared* result
-  store (``--cache-backend``), so N slots — and M replicas in other
-  processes — deduplicate work through one persistent cache (the
-  WAL-mode SQLite backend makes that safe);
-* **observability** — each job journals its engine's event stream to a
-  private :class:`RunJournal` (the SSE source), and per-job engine/cache
-  counter deltas are folded into one shared
-  :class:`~repro.engine.telemetry.MetricsRegistry` served at
+  :meth:`FairShareScheduler.take` until a job is ready.  A slot starts
+  its :class:`~repro.serve.worker.SlotWorker` with its first job and
+  keeps it: a ``spawn``ed process with its own serial
+  :class:`~repro.engine.EvaluationEngine`, which runs the slot's jobs
+  on an interpreter (and GIL) of its own.  Every worker's engine owns
+  its *own* connection to the *shared* result store
+  (``--cache-backend``), so N slots — and M replicas — deduplicate work
+  through one persistent cache (the WAL-mode SQLite backend makes that
+  safe).  Job memory is in the workers, outside the service's own RSS;
+* **observability** — each job's worker journals its engine's event
+  stream to a private :class:`RunJournal` (the SSE source) and sends
+  its engine/cache counter deltas home, where they are folded into one
+  shared :class:`~repro.engine.telemetry.MetricsRegistry` served at
   ``/v1/metrics`` (Prometheus or JSON);
 * **shutdown** — SIGINT/SIGTERM via the existing
   :class:`ShutdownCoordinator`: admissions stop (503), running jobs
-  finish, queued jobs fail honestly, the slots exit and their engines
-  close, and the process exits ``128 + signum``.
+  finish in their workers (which ignore both signals), queued jobs fail
+  honestly, the slots close and join their workers, and the process
+  exits ``128 + signum``.
 
 Every job state transition happens on the slot thread that runs the
 job, guarded by one service lock — so a drain completes correctly even
@@ -69,10 +73,8 @@ from pathlib import Path
 from typing import Any, BinaryIO
 
 from ..engine import (
-    EvaluationEngine,
     MemoryBackend,
     MetricsRegistry,
-    ResultCache,
     RunInterrupted,
     RunJournal,
     ShutdownCoordinator,
@@ -81,13 +83,11 @@ from ..engine import (
 from ..engine.telemetry import (
     TRACEPARENT_HEADER,
     TraceContext,
-    activate_trace,
-    mint_span_id,
     parse_traceparent,
     render_prometheus_snapshot,
 )
 from ..engine.cache_backends import CacheCorruption, CacheUnavailable
-from ..errors import QueueFullError, ReproError, ServeError
+from ..errors import QueueFullError, ServeError
 from .http import (
     BadRequest,
     Request,
@@ -98,20 +98,9 @@ from .http import (
     sse_head,
 )
 from .jobs import COMPLETED, FAILED, QUEUED, RUNNING, Job, JobSpec
-from .runner import execute_job
 from .scheduler import FairShareScheduler, TenantPolicy
 from .sse import JournalFollower, format_sse
-
-#: Engine counters attributed per job (delta of EngineMetrics.snapshot()).
-_ENGINE_DELTA_KEYS = (
-    "evaluations",
-    "cache_hits",
-    "cache_misses",
-    "retries",
-    "timeouts",
-    "pool_restarts",
-    "quarantines",
-)
+from .worker import SlotWorker, WorkerFailed
 
 _JOB_PATH_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9._-]+)(/result|/events)?$")
 
@@ -157,14 +146,15 @@ class ExplorationService:
     Parameters
     ----------
     jobs:
-        Concurrent job slots, each a thread with its own engine.
+        Concurrent job slots, each a thread driving a worker process
+        with its own engine.
     cache_backend:
         Shared result-store spec for :func:`make_backend` (``memory``,
         ``sqlite:<file>``, ``http://host:port``); ``none`` disables
         caching.
-        Each slot's engine opens its own handle to a persistent store;
-        under ``memory`` each slot keeps only its bounded LRU and the
-        ``/v1/cache`` API has a memory store of its own.
+        Each slot worker's engine opens its own handle to a persistent
+        store; under ``memory`` each worker keeps only its bounded LRU
+        and the ``/v1/cache`` API has a memory store of its own.
     serve_dir:
         Directory for per-job journals (a temp dir when omitted).
     tenant_policy / max_total_queued:
@@ -202,8 +192,8 @@ class ExplorationService:
         self._state_lock = threading.Lock()
 
         self._slots: list[threading.Thread] = []
-        #: Each slot's engine, opened with the slot's first job.
-        self._slot_engines: list[EvaluationEngine | None] = [None] * jobs
+        #: Each slot's live worker, started with the slot's first job.
+        self._slot_workers: list[SlotWorker | None] = [None] * jobs
 
         #: The service's own handle on the shared store, serving the
         #: /v1/cache API (lazily opened; engines keep separate handles).
@@ -283,16 +273,6 @@ class ExplorationService:
         """
         self.registry.counter(name, help, labels={"tenant": tenant}).inc(n)
 
-    def _make_engine(self) -> EvaluationEngine:
-        spec = self.cache_backend_spec
-        cache = None
-        if spec not in (None, "none"):
-            backend = make_backend(spec)
-            # A slot's memory backend would be a private, unbounded dict
-            # behind the LRU that nothing else reads: keep the LRU alone.
-            cache = ResultCache(backend=backend if backend.persistent else None)
-        return EvaluationEngine(jobs=1, cache=cache)
-
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
@@ -352,156 +332,98 @@ class ExplorationService:
         return [job.to_jsonable() for job in sorted(jobs, key=lambda j: j.id)]
 
     # ------------------------------------------------------------------
-    # execution (job-slot threads)
+    # execution (job-slot threads, each driving a worker process)
     # ------------------------------------------------------------------
 
     def _slot(self, index: int) -> None:
-        """One job slot: run jobs until the scheduler drains.
+        """One job slot: run jobs in the slot's worker until the scheduler drains.
 
-        The slot's engine opens with its first job.  A store that cannot
-        open fails only that job, and the next job retries the open; an
-        exception escaping a job fails that job, never the slot.
+        The slot starts its worker with its first job.  A store that
+        cannot open fails only that job, and the next job starts a fresh
+        worker; so does a worker that dies.  An exception escaping a job
+        fails that job, never the slot.
         """
-        while (job := self.scheduler.take()) is not None:
-            self._update_gauges()
-            try:
-                if self._slot_engines[index] is None:
-                    self._slot_engines[index] = self._make_engine()
-                self._run_job(job, self._slot_engines[index])
-            except BaseException as exc:  # noqa: BLE001 - last line of defense
-                with self._state_lock:
-                    job.state = FAILED
-                    job.error = f"internal error: {exc!r}"
-                    job.finished_at = time.time()
-                print(f"serve: job {job.id} crashed: {exc!r}", file=sys.stderr)
-            finally:
-                self.scheduler.job_finished(job.tenant)
-                self._update_gauges()
-
-    def _run_job(self, job: Job, engine: EvaluationEngine) -> None:
-        # Every journal line carries the distributed-trace identity: the
-        # caller's trace id, the caller's span as parent, and which
-        # replica wrote the line (the stitcher's correlation keys).
-        span_id = mint_span_id()
-        context: dict[str, Any] = {"replica_id": self.replica_id}
-        if job.trace_id is not None:
-            context["trace_id"] = job.trace_id
-            context["parent_span_id"] = job.parent_span_id
-        journal = RunJournal(job.journal_path, context=context)
+        worker: SlotWorker | None = None
         try:
-            with self._state_lock:
-                job.state = RUNNING
-                job.started_at = time.time()
-            queue_wait = job.started_at - job.submitted_at
-            journal.append(
-                "job_start",
-                {
-                    "job": job.id,
-                    "span": span_id,
-                    "tenant": job.tenant,
-                    "kind": job.spec.kind,
-                    "queue_wait_s": round(queue_wait, 6),
-                },
-            )
-            journal.attach(engine.events)
-            before = engine.metrics.snapshot()
-            cache_before = (
-                engine.cache.stats.snapshot() if engine.cache is not None else None
-            )
-
-            error: str | None = None
-            result: Any = None
-            # Downstream calls (the http: store backend) inherit the
-            # trace with this job's span as their parent.
-            ambient = (
-                activate_trace(TraceContext(job.trace_id, span_id))
-                if job.trace_id is not None
-                else contextlib.nullcontext()
-            )
-            started = time.perf_counter()
-            with ambient:
+            while (job := self.scheduler.take()) is not None:
+                self._update_gauges()
                 try:
-                    result = execute_job(job.spec, engine)
-                except ReproError as exc:
-                    error = str(exc)
-                except RunInterrupted:
-                    error = "interrupted by service shutdown"
-                except Exception as exc:  # pragma: no cover - defensive
-                    error = f"internal error: {exc!r}"
-                # Write the job's buffered rows before the job is seen to
-                # end: a client told "completed" may next ask a sibling
-                # replica of the same store.
-                if engine.cache is not None:
-                    engine.cache.flush()
-            seconds = time.perf_counter() - started
-
-            after = engine.metrics.snapshot()
-            deltas = {
-                key: int(after[key]) - int(before[key]) for key in _ENGINE_DELTA_KEYS
-            }
-            cache_deltas: dict[str, int] = {}
-            if cache_before is not None and engine.cache is not None:
-                cache_after = engine.cache.stats.snapshot()
-                cache_deltas = {
-                    key: cache_after[key] - cache_before[key] for key in cache_after
-                }
-
-            journal.detach()  # unsubscribe before the direct epilogue line
-            journal.append(
-                "job_end",
-                {
-                    "job": job.id,
-                    "span": span_id,
-                    "state": FAILED if error is not None else COMPLETED,
-                    "seconds": round(seconds, 6),
-                    "error": error,
-                    **{f"delta_{k}": v for k, v in deltas.items()},
-                },
-            )
-            journal.close()
-
-            with self._state_lock:
-                job.stats = {
-                    "seconds": seconds,
-                    "queue_wait_s": queue_wait,
-                    **deltas,
-                    "cache": cache_deltas,
-                }
-                job.finished_at = time.time()
-                if error is None:
-                    job.state = COMPLETED
-                    job.result = result
-                else:
-                    job.state = FAILED
-                    job.error = error
-
-            with self._metrics_lock:
-                (self._m_failed if error is not None else self._m_completed).inc()
-                if error is not None:
-                    self._tenant_inc(
-                        "repro_serve_jobs_failed_total",
-                        "Jobs that ended in an error",
-                        job.tenant,
-                    )
-                else:
-                    self._tenant_inc(
-                        "repro_serve_jobs_completed_total",
-                        "Jobs finished successfully",
-                        job.tenant,
-                    )
-                self._m_job_seconds.observe(seconds)
-                self.registry.histogram(
-                    "repro_serve_job_seconds",
-                    "Job execution wall time",
-                    labels={"tenant": job.tenant},
-                ).observe(seconds)
-                self._m_queue_wait.observe(max(queue_wait, 0.0))
-                self._m_evaluations.inc(deltas["evaluations"])
-                self._m_cache_hits.inc(deltas["cache_hits"])
-                self._m_cache_misses.inc(deltas["cache_misses"])
-                self._m_cache_stores.inc(cache_deltas.get("stores", 0))
+                    if worker is None:
+                        worker = SlotWorker(
+                            self.cache_backend_spec,
+                            self.replica_id,
+                            name=f"repro-serve-worker-{index}",
+                        )
+                        self._slot_workers[index] = worker
+                    self._run_job(job, worker)
+                except BaseException as exc:  # noqa: BLE001 - last line of defense
+                    detail = str(exc) if isinstance(exc, WorkerFailed) else repr(exc)
+                    with self._state_lock:
+                        job.state = FAILED
+                        job.error = f"internal error: {detail}"
+                        job.finished_at = time.time()
+                    print(f"serve: job {job.id} crashed: {detail}", file=sys.stderr)
+                    if worker is not None and not worker.alive:
+                        self._slot_workers[index] = None
+                        worker.close()
+                        worker = None
+                finally:
+                    self.scheduler.job_finished(job.tenant)
+                    self._update_gauges()
         finally:
-            journal.detach()  # idempotent; also closes the file
+            self._slot_workers[index] = None
+            if worker is not None:
+                worker.close()
+
+    def _run_job(self, job: Job, worker: SlotWorker) -> None:
+        with self._state_lock:
+            job.state = RUNNING
+            job.started_at = time.time()
+        queue_wait = job.started_at - job.submitted_at
+        outcome = worker.run(job, queue_wait)
+        error, seconds, deltas = outcome.error, outcome.seconds, outcome.deltas
+        cache_deltas = outcome.cache_deltas
+
+        with self._state_lock:
+            job.stats = {
+                "seconds": seconds,
+                "queue_wait_s": queue_wait,
+                **deltas,
+                "cache": cache_deltas,
+            }
+            job.finished_at = time.time()
+            if error is None:
+                job.state = COMPLETED
+                job.result = outcome.result
+            else:
+                job.state = FAILED
+                job.error = error
+
+        with self._metrics_lock:
+            (self._m_failed if error is not None else self._m_completed).inc()
+            if error is not None:
+                self._tenant_inc(
+                    "repro_serve_jobs_failed_total",
+                    "Jobs that ended in an error",
+                    job.tenant,
+                )
+            else:
+                self._tenant_inc(
+                    "repro_serve_jobs_completed_total",
+                    "Jobs finished successfully",
+                    job.tenant,
+                )
+            self._m_job_seconds.observe(seconds)
+            self.registry.histogram(
+                "repro_serve_job_seconds",
+                "Job execution wall time",
+                labels={"tenant": job.tenant},
+            ).observe(seconds)
+            self._m_queue_wait.observe(max(queue_wait, 0.0))
+            self._m_evaluations.inc(deltas["evaluations"])
+            self._m_cache_hits.inc(deltas["cache_hits"])
+            self._m_cache_misses.inc(deltas["cache_misses"])
+            self._m_cache_stores.inc(cache_deltas.get("stores", 0))
 
     def _update_gauges(self) -> None:
         depths = self.scheduler.depths()
@@ -804,7 +726,7 @@ class ExplorationService:
     def stats(self) -> dict[str, Any]:
         """Scheduler depths plus aggregate engine/cache counters."""
         depths = self.scheduler.depths()
-        engines = [engine for engine in self._slot_engines if engine is not None]
+        workers = [worker for worker in self._slot_workers if worker is not None]
         with self._state_lock:
             states: dict[str, int] = {}
             for job in self._jobs.values():
@@ -813,20 +735,14 @@ class ExplorationService:
             "replica_id": self.replica_id,
             "scheduler": depths,
             "jobs_by_state": states,
-            "engines": len(engines),
+            "engines": len(workers),
             "backend": str(self.cache_backend_spec),
             "draining": self._stopping,
         }
         # Network store tiers carry degrade/circuit telemetry; surface
-        # every engine handle's snapshot so operators (and the chaos
+        # every worker's latest snapshot so operators (and the chaos
         # harness) can see breaker transitions over the API.
-        snapshots = []
-        for engine in engines:
-            backend = getattr(getattr(engine, "cache", None), "backend", None)
-            snapshot = getattr(backend, "stats_snapshot", None)
-            if callable(snapshot):
-                with contextlib.suppress(Exception):
-                    snapshots.append(snapshot())
+        snapshots = [worker.store for worker in workers if worker.store is not None]
         if snapshots:
             payload["store"] = snapshots
         return payload
@@ -895,7 +811,7 @@ class ExplorationService:
         return self._ready.wait(timeout)
 
     def drain(self) -> None:
-        """Stop admissions, let running jobs finish, close the engines."""
+        """Stop admissions, let running jobs finish, close the workers."""
         if self._drained:
             return
         self._drained = True
@@ -906,13 +822,9 @@ class ExplorationService:
                     job.state = FAILED
                     job.error = "service shut down before the job started"
                     job.finished_at = time.time()
+        # Each slot finishes its running job, then closes its worker.
         for thread in self._slots:
             thread.join()
-        for i, engine in enumerate(self._slot_engines):
-            self._slot_engines[i] = None
-            if engine is not None:
-                with contextlib.suppress(Exception):
-                    engine.close()
         with self._store_lock:
             store, self._store = self._store, None
             journal, self._service_journal = self._service_journal, None

@@ -10,11 +10,18 @@ predictable.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -23,9 +30,9 @@ from repro.errors import ServeClientError
 from repro.serve import ServeClient
 from repro.serve.jobs import JobSpec
 from repro.serve.runner import execute_job
-from repro.serve import service as service_module
 from repro.serve.scheduler import TenantPolicy
 from repro.serve.service import ExplorationService, ServiceThread
+from repro.serve.worker import SlotWorker, make_slot_engine
 from repro.sim import IntervalSimulator
 from repro.workloads import spec2000_profile
 
@@ -50,13 +57,13 @@ SMALL_JOB = {
 def gate(monkeypatch):
     """Hold every job in its slot, as running, until ``gate.set()``."""
     release = threading.Event()
-    execute_job = service_module.execute_job
+    run = SlotWorker.run
 
-    def held(spec, engine):
+    def held(worker, job, queue_wait):
         release.wait(60)
-        return execute_job(spec, engine)
+        return run(worker, job, queue_wait)
 
-    monkeypatch.setattr(service_module, "execute_job", held)
+    monkeypatch.setattr(SlotWorker, "run", held)
     yield release
     release.set()
 
@@ -65,6 +72,21 @@ def wait_for_state(client: ServeClient, job_id: str, state: str) -> None:
     deadline = time.monotonic() + 60
     while client.status(job_id)["state"] != state:
         assert time.monotonic() < deadline, f"{job_id} never reached {state}"
+        time.sleep(0.005)
+
+
+def journal_events(path: Path) -> list[dict]:
+    try:
+        return [json.loads(line) for line in path.read_text().splitlines()]
+    except FileNotFoundError:
+        return []
+
+
+def wait_for_job_start(path: Path) -> None:
+    """Return once a worker has journalled the job's ``job_start`` line."""
+    deadline = time.monotonic() + 60
+    while not any(e["event"] == "job_start" for e in journal_events(path)):
+        assert time.monotonic() < deadline, f"{path} never got job_start"
         time.sleep(0.005)
 
 
@@ -328,6 +350,8 @@ def test_drain_fails_queued_jobs_instead_of_losing_them(tmp_path, gate):
 
 def test_no_service_thread_outlives_stop(tmp_path):
     before = set(threading.enumerate())
+    # Module-scoped services of other tests keep their workers alive.
+    children_before = set(multiprocessing.active_children())
     service = ExplorationService(jobs=2, cache_backend="memory", serve_dir=tmp_path)
     with ServiceThread(service) as thread:
         client = ServeClient(thread.base_url)
@@ -338,12 +362,15 @@ def test_no_service_thread_outlives_stop(tmp_path):
             if t.name.startswith("repro-serve") and t not in before
         ]
         assert len(started) == 3  # the serving thread and two slots
+        workers = set(multiprocessing.active_children()) - children_before
+        assert len(workers) == 1  # the job's slot started its worker
     alive = [
         t.name
         for t in threading.enumerate()
         if t.name.startswith("repro-serve") and t not in before
     ]
     assert alive == []
+    assert set(multiprocessing.active_children()) - children_before == set()
 
 
 def test_crashing_job_fails_and_its_slot_keeps_serving(tmp_path):
@@ -351,11 +378,11 @@ def test_crashing_job_fails_and_its_slot_keeps_serving(tmp_path):
     run_job = service._run_job
     crashed: list[str] = []
 
-    def crash_once(job, engine):
+    def crash_once(job, worker):
         if not crashed:
             crashed.append(job.id)
             raise RuntimeError("boom")
-        run_job(job, engine)
+        run_job(job, worker)
 
     service._run_job = crash_once
     with ServiceThread(service) as thread:
@@ -365,6 +392,156 @@ def test_crashing_job_fails_and_its_slot_keeps_serving(tmp_path):
     assert first["state"] == "failed"
     assert "boom" in first["error"]
     assert second["state"] == "completed"
+
+
+# ----------------------------------------------------------------------
+# worker processes
+# ----------------------------------------------------------------------
+
+#: A job that runs for minutes: a test ends it by killing its worker.
+ENDLESS_JOB = dict(SMALL_JOB, iterations=5_000_000)
+
+
+def test_killed_worker_fails_only_its_job(tmp_path):
+    service = ExplorationService(jobs=1, cache_backend="memory", serve_dir=tmp_path)
+    with ServiceThread(service) as thread:
+        client = ServeClient(thread.base_url)
+        victim = client.submit(dict(ENDLESS_JOB))["id"]
+        wait_for_job_start(service.get_job(victim).journal_path)
+        os.kill(service._slot_workers[0].process.pid, signal.SIGKILL)
+        killed = client.wait(victim, timeout=60)
+        assert killed["state"] == "failed"
+        assert killed["error"] == "internal error: worker exited with -9"
+        after = client.wait(client.submit(dict(SMALL_JOB))["id"], timeout=60)
+        assert after["state"] == "completed"
+        assert client.stats()["engines"] == 1
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _serve_subprocess(
+    jobs: int, serve_dir: Path, stderr: Any = subprocess.DEVNULL
+) -> tuple[subprocess.Popen, ServeClient]:
+    """A ``repro serve`` process and a client of it, once it answers."""
+    port = _free_port()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--port", str(port),
+            "--jobs", str(jobs), "--cache-backend", "memory",
+            "--serve-dir", str(serve_dir),
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=stderr,
+        start_new_session=True,  # its own process group, for killpg
+    )
+    client = ServeClient(f"http://127.0.0.1:{port}", timeout=5)
+    deadline = time.monotonic() + 30
+    while True:
+        try:
+            client.health()
+            return proc, client
+        except ServeClientError:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """The fields after the command name in ``/proc/<pid>/stat``."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid: int) -> list[int]:
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _proc_stat(int(entry.name))
+            if stat is not None and int(stat[1]) == pid:
+                kids.append(int(entry.name))
+    return kids
+
+
+def _workers(pid: int) -> list[int]:
+    return [
+        child for child in _children(pid)
+        if b"spawn_main" in Path(f"/proc/{child}/cmdline").read_bytes()
+    ]
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads process tables from /proc"
+)
+
+
+@needs_proc
+def test_sigkilled_service_leaves_no_worker_alive(tmp_path):
+    proc, client = _serve_subprocess(2, tmp_path)
+    try:
+        ids = [client.submit(dict(ENDLESS_JOB, seed=s))["id"] for s in (1, 2)]
+        for job_id in ids:
+            wait_for_job_start(tmp_path / "jobs" / job_id / "events.jsonl")
+        assert len(_workers(proc.pid)) == 2
+        children = _children(proc.pid)  # the workers and their helpers
+        proc.kill()
+        proc.wait(10)
+        deadline = time.monotonic() + 5
+        while any(_running(pid) for pid in children):
+            assert time.monotonic() < deadline, [p for p in children if _running(p)]
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait(10)
+
+
+@needs_proc
+def test_sigterm_lets_the_running_job_finish_in_its_worker(tmp_path):
+    log = tmp_path / "stderr.txt"
+    with open(log, "wb") as stderr:
+        proc, client = _serve_subprocess(1, tmp_path / "serve", stderr=stderr)
+    try:
+        job_id = client.submit(dict(SMALL_JOB, iterations=20_000))["id"]
+        journal = tmp_path / "serve" / "jobs" / job_id / "events.jsonl"
+        wait_for_job_start(journal)
+        (worker,) = _workers(proc.pid)
+        # The whole process group, as a service manager stops it: the
+        # worker ignores the signal and the drain waits for its job.
+        os.killpg(proc.pid, signal.SIGTERM)
+        assert proc.wait(60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait(10)
+    # The signal landed while the job ran, and the job still completed.
+    assert "draining (1 running jobs)" in log.read_text()
+    (end,) = [e for e in journal_events(journal) if e["event"] == "job_end"]
+    assert end["state"] == "completed"
+    assert not _running(worker)
+
+
+def test_undrained_worker_does_not_hold_up_interpreter_exit():
+    # multiprocessing joins its children at exit, and a worker ignores
+    # SIGTERM: unless the pipe is hung up first, the join never returns.
+    script = (
+        "from repro.serve.worker import SlotWorker\n"
+        "worker = SlotWorker('memory', 'r', name='w')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
+    assert done.returncode == 0
 
 
 # ----------------------------------------------------------------------
@@ -598,7 +775,7 @@ def test_memory_mode_slot_cache_stays_at_its_bound(tmp_path, initial_config):
     with ExplorationService(
         jobs=1, cache_backend="memory", serve_dir=tmp_path
     ) as service:
-        engine = service._make_engine()
+        engine = make_slot_engine(service.cache_backend_spec)
         try:
             cache = engine.cache
             assert cache.backend is None
